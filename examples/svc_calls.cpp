@@ -11,11 +11,12 @@ using namespace ncs::atm;
 
 namespace {
 
-void lan_demo() {
+/// Each demo returns whether the data crossed the signaled circuit.
+bool lan_demo() {
   sim::Engine engine;
-  LanConfig lc;
+  FabricConfig lc;
   lc.n_hosts = 3;
-  AtmLan lan(engine, lc);
+  AtmFabric lan(engine, lc);
   CallController controller(engine, lan);
 
   std::printf("--- LAN: host 0 calls host 2 ---\n");
@@ -29,7 +30,9 @@ void lan_demo() {
   });
   engine.run();
 
+  bool delivered = false;
   lan.nic(2).set_rx_handler([&](VcId vc, Bytes data, bool) {
+    delivered = true;
     std::printf("[%s] host 2 received %zu bytes on VCI %u\n",
                 engine.now().to_string().c_str(), data.size(), vc.vci);
   });
@@ -42,15 +45,17 @@ void lan_demo() {
               engine.now().to_string().c_str(),
               static_cast<unsigned long long>(controller.stats().setups),
               static_cast<unsigned long long>(controller.stats().active_calls));
+  return delivered && controller.stats().active_calls == 0;
 }
 
-void wan_demo() {
+bool wan_demo() {
   sim::Engine engine;
-  WanConfig wc;
+  FabricConfig wc;
   wc.n_hosts = 4;
+  wc.n_sites = 2;
   wc.nic.io_buffer_size = 9216;  // one 8 KB message = one I/O buffer
-  AtmWan wan(engine, wc);
-  WanCallController controller(engine, wan);
+  AtmFabric wan(engine, wc);
+  CallController controller(engine, wan);
 
   std::printf("--- NYNET WAN: host 0 (site 0) calls host 3 (site 1) ---\n");
   controller.agent(3);
@@ -65,13 +70,16 @@ void wan_demo() {
   });
   engine.run();
 
+  bool delivered = false;
   wan.nic(3).set_rx_handler([&](VcId vc, Bytes data, bool) {
+    delivered = true;
     std::printf("[%s] host 3 received %zu bytes on VCI %u, label-switched "
                 "across both sites\n",
                 engine.now().to_string().c_str(), data.size(), vc.vci);
   });
   wan.nic(0).submit_tx(data_vc, Bytes(8000, std::byte{0x44}), true);
   engine.run();
+  return delivered;
 }
 
 }  // namespace
@@ -79,7 +87,7 @@ void wan_demo() {
 int main() {
   std::printf("ATM switched virtual circuits (extension beyond the paper's "
               "preconfigured PVC mesh)\n\n");
-  lan_demo();
-  wan_demo();
-  return 0;
+  const bool lan_ok = lan_demo();
+  const bool wan_ok = wan_demo();
+  return lan_ok && wan_ok ? 0 : 1;
 }

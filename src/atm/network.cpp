@@ -8,113 +8,10 @@
 
 namespace ncs::atm {
 
-AtmLan::AtmLan(sim::Engine& engine, LanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 1);
-  switch_ = std::make_unique<Switch>(engine, config.sw, "lan-switch");
-
-  for (int i = 0; i < config.n_hosts; ++i) {
-    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
-                                                       "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
-  }
-  // Switch port i transmits down link i toward NIC i; NIC i transmits up
-  // link i into the switch, arriving tagged with in_port = i.
-  for (int i = 0; i < config.n_hosts; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const int port = switch_->add_port(links_[ui]->backward(), *nics_[ui], 0);
-    NCS_ASSERT(port == i);
-    nics_[ui]->attach(links_[ui]->forward(), *switch_, i);
-  }
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, vc_to(j), j, vc_to(i));
-  // RMA plane: the same mesh shifted into the kRmaVciBase label range.
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, rma_vc_to(j), j, rma_vc_to(i));
-  // NIC-collective plane: a third mesh in the kCollVciBase range, added
-  // last so the data/RMA label assignment stays byte-identical.
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, coll_vc_to(j), j, coll_vc_to(i));
-}
-
-AtmWan::AtmWan(sim::Engine& engine, WanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 2);
-  site0_hosts_ = (config.n_hosts + 1) / 2;
-
-  switches_.push_back(std::make_unique<Switch>(engine, config.sw, "wan-switch0"));
-  switches_.push_back(std::make_unique<Switch>(engine, config.sw, "wan-switch1"));
-
-  // Per-site local port index of each host.
-  std::vector<int> local_port(static_cast<std::size_t>(config.n_hosts));
-  int counts[2] = {0, 0};
-  for (int i = 0; i < config.n_hosts; ++i)
-    local_port[static_cast<std::size_t>(i)] = counts[site_of(i)]++;
-  local_port_ = local_port;
-
-  for (int i = 0; i < config.n_hosts; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const int site = site_of(i);
-    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
-                                                       "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
-    Switch& sw = *switches_[static_cast<std::size_t>(site)];
-    const int port = sw.add_port(links_[ui]->backward(), *nics_[ui], 0);
-    NCS_ASSERT(port == local_port[ui]);
-    nics_[ui]->attach(links_[ui]->forward(), sw, port);
-  }
-
-  // Backbone: one duplex link between the two site switches; its switch
-  // port index is counts[site] (the port after all host ports).
-  links_.push_back(std::make_unique<net::DuplexLink>(engine, config.backbone, "sonet"));
-  net::DuplexLink& bb = *links_.back();
-  const int bb_port0 = switches_[0]->add_port(bb.forward(), *switches_[1], counts[1]);
-  const int bb_port1 = switches_[1]->add_port(bb.backward(), *switches_[0], counts[0]);
-  NCS_ASSERT(bb_port0 == counts[0]);
-  NCS_ASSERT(bb_port1 == counts[1]);
-  const int bb_in_port[2] = {counts[0], counts[1]};
-  backbone_port_[0] = bb_port0;
-  backbone_port_[1] = bb_port1;
-
-  for (int i = 0; i < config.n_hosts; ++i) {
-    for (int j = 0; j < config.n_hosts; ++j) {
-      const int si = site_of(i);
-      const int sj = site_of(j);
-      const int pi = local_port[static_cast<std::size_t>(i)];
-      const int pj = local_port[static_cast<std::size_t>(j)];
-      if (si == sj) {
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, vc_to(j), pj, vc_to(i));
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, rma_vc_to(j), pj, rma_vc_to(i));
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, coll_vc_to(j), pj, coll_vc_to(i));
-      } else {
-        // Ingress switch: host uplink -> backbone, with a per-pair backbone
-        // label in VPI 1 space. Egress switch: backbone -> host downlink.
-        // The RMA plane crosses on its own per-pair labels in VPI 2.
-        const VcId bb_vc{1, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, vc_to(j), /*out_port=*/bb_in_port[si], bb_vc);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_vc, pj, vc_to(i));
-        const VcId bb_rma{2, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, rma_vc_to(j), /*out_port=*/bb_in_port[si], bb_rma);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_rma, pj,
-                                                           rma_vc_to(i));
-        // NIC-collective plane crosses on its own per-pair labels in VPI 3.
-        const VcId bb_coll{3, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, coll_vc_to(j), /*out_port=*/bb_in_port[si], bb_coll);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_coll, pj,
-                                                           coll_vc_to(i));
-      }
-    }
-  }
-}
-
-AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 1);
-  NCS_ASSERT(config.n_sites >= 1 && config.n_sites <= config.n_hosts);
+AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config) {
   const int n_sites = config.n_sites;
+  NCS_ASSERT(config.n_hosts >= 1);
+  NCS_ASSERT(n_sites >= 1 && n_sites <= config.n_hosts);
 
   // Contiguous near-equal host blocks: the first (n_hosts % n_sites) sites
   // take one extra host.
@@ -125,12 +22,11 @@ AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
     n_local[static_cast<std::size_t>(s)] = base + (s < extra ? 1 : 0);
 
   for (int s = 0; s < n_sites; ++s)
-    switches_.push_back(
-        std::make_unique<Switch>(engine, config.sw, "wan-switch" + std::to_string(s)));
+    switches_.push_back(std::make_unique<Switch>(
+        engine, config.sw, n_sites == 1 ? "lan-switch" : "wan-switch" + std::to_string(s)));
   left_port_.assign(static_cast<std::size_t>(n_sites), -1);
   right_port_.assign(static_cast<std::size_t>(n_sites), -1);
-  next_label_right_.assign(static_cast<std::size_t>(n_sites - 1), 1);
-  next_label_left_.assign(static_cast<std::size_t>(n_sites - 1), 1);
+  next_label_.resize(static_cast<std::size_t>(n_sites - 1));
 
   // Host ports first, so every site's hop ports start at n_local(site).
   int site = 0, filled = 0;
@@ -145,6 +41,8 @@ AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
     links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
                                                        "taxi" + std::to_string(i)));
     nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
+    // The switch port transmits down the link toward the NIC; the NIC
+    // transmits up the link, arriving tagged with the same port index.
     Switch& sw = *switches_[static_cast<std::size_t>(site)];
     const int port = sw.add_port(links_[ui]->backward(), *nics_[ui], 0);
     NCS_ASSERT(port == local_port_[ui]);
@@ -156,8 +54,8 @@ AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
   // are n_local(s) for the left hop and n_local(s)+1 for the right.
   for (int h = 0; h + 1 < n_sites; ++h) {
     const auto uh = static_cast<std::size_t>(h);
-    links_.push_back(
-        std::make_unique<net::DuplexLink>(engine, config.backbone, "sonet" + std::to_string(h)));
+    links_.push_back(std::make_unique<net::DuplexLink>(
+        engine, config.backbone, n_sites == 2 ? "sonet" : "sonet" + std::to_string(h)));
     net::DuplexLink& bb = *links_.back();
     Switch& left = *switches_[uh];
     Switch& right = *switches_[uh + 1];
@@ -172,8 +70,7 @@ AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
   std::vector<std::pair<int, int>> pairs;
   if (config.provision.empty()) {
     for (int i = 0; i < config.n_hosts; ++i)
-      for (int j = 0; j < config.n_hosts; ++j)
-        if (i != j) pairs.emplace_back(i, j);
+      for (int j = 0; j < config.n_hosts; ++j) pairs.emplace_back(i, j);
   } else {
     std::sort(config.provision.begin(), config.provision.end());
     config.provision.erase(
@@ -184,59 +81,57 @@ AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
       if (i != j) pairs.emplace_back(i, j);
     }
   }
-  // Data plane first, then the RMA plane, then the NIC-collective plane,
-  // each as its own pass, so the earlier planes' backbone label assignment
-  // is byte-identical with or without the later subsystems in play (chaos
-  // digests must not move).
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::data);
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::rma);
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::coll);
+  for (std::size_t plane = 0; plane < kPvcPlanes.size(); ++plane)
+    for (const auto& [i, j] : pairs) provision_pair(i, j, plane);
 }
 
-void AtmMultiWan::provision_pair(int src, int dst, Plane plane) {
+void AtmFabric::provision_pair(int src, int dst, std::size_t plane) {
+  const PvcPlane& p = kPvcPlanes[plane];
   const int si = site_of(src);
   const int sj = site_of(dst);
-  const int pi = local_port_[static_cast<std::size_t>(src)];
-  const int pj = local_port_[static_cast<std::size_t>(dst)];
-  Switch& in_sw = *switches_[static_cast<std::size_t>(si)];
-  Switch& out_sw = *switches_[static_cast<std::size_t>(sj)];
-  const VcId dst_vc = plane == Plane::rma    ? rma_vc_to(dst)
-                      : plane == Plane::coll ? coll_vc_to(dst)
-                                             : vc_to(dst);
-  const VcId src_vc = plane == Plane::rma    ? rma_vc_to(src)
-                      : plane == Plane::coll ? coll_vc_to(src)
-                                             : vc_to(src);
-  if (si == sj) {
-    in_sw.add_route(pi, dst_vc, pj, src_vc);
-    return;
-  }
+  const VcId dst_vc{0, static_cast<std::uint16_t>(p.vci_base + dst)};
+  const VcId src_vc{0, static_cast<std::uint16_t>(p.vci_base + src)};
 
-  // One fresh VPI-1 label per directed hop the path crosses; each switch
-  // along the way rewrites the previous hop's label into the next one.
-  const int step = si < sj ? 1 : -1;
+  // One fresh label per directed hop the path crosses; each switch along
+  // the way rewrites the previous hop's label into the next one.
   VcId prev = dst_vc;
-  int prev_in_port = pi;
-  for (int s = si; s != sj; s += step) {
-    const auto hop = static_cast<std::size_t>(step > 0 ? s : s - 1);
-    std::uint32_t& next = step > 0 ? next_label_right_[hop] : next_label_left_[hop];
-    NCS_ASSERT_MSG(next <= 0xFFFF,
-                   "backbone hop out of VPI-1 labels; provision fewer pairs");
-    const VcId lab{1, static_cast<std::uint16_t>(next++)};
-    const int out_port =
-        step > 0 ? right_port_[static_cast<std::size_t>(s)] : left_port_[static_cast<std::size_t>(s)];
-    switches_[static_cast<std::size_t>(s)]->add_route(prev_in_port, prev, out_port, lab);
+  int in_port = local_port(src);
+  for (int s = si; s != sj;) {
+    const bool rightward = sj > s;
+    const int next = rightward ? s + 1 : s - 1;
+    const int hop = std::min(s, next);
+    std::uint32_t& label =
+        next_label_[static_cast<std::size_t>(hop)][rightward ? 0 : 1][plane];
+    NCS_ASSERT_MSG(label <= 0xFFFF,
+                   ("backbone hop " + std::to_string(hop) +
+                    (rightward ? " rightward" : " leftward") + " is out of " + p.name +
+                    "-plane labels (65536 per hop); provision fewer pairs")
+                       .c_str());
+    const VcId lab{p.backbone_vpi, static_cast<std::uint16_t>(label++)};
+    site_switch(s).add_route(in_port, prev, port_toward(s, next), lab);
     prev = lab;
-    prev_in_port = step > 0 ? left_port_[static_cast<std::size_t>(s + 1)]
-                            : right_port_[static_cast<std::size_t>(s - 1)];
+    in_port = port_toward(next, s);
+    s = next;
   }
-  out_sw.add_route(prev_in_port, prev, pj, src_vc);
+  site_switch(sj).add_route(in_port, prev, local_port(dst), src_vc);
 }
 
-int AtmMultiWan::labels_used(int site, bool rightward) const {
-  const auto hop = static_cast<std::size_t>(site);
-  const std::uint32_t next =
-      rightward ? next_label_right_[hop] : next_label_left_[hop];
-  return static_cast<int>(next - 1);
+int AtmFabric::port_toward(int site, int other) const {
+  NCS_ASSERT(other != site);
+  const auto us = static_cast<std::size_t>(site);
+  return other > site ? right_port_[us] : left_port_[us];
+}
+
+bool AtmFabric::is_hop_port(int site, int port) const {
+  const auto us = static_cast<std::size_t>(site);
+  return port == left_port_[us] || port == right_port_[us];
+}
+
+int AtmFabric::labels_used(int hop, bool rightward) const {
+  int used = 0;
+  for (const std::uint32_t next : next_label_[static_cast<std::size_t>(hop)][rightward ? 0 : 1])
+    used += static_cast<int>(next);
+  return used;
 }
 
 }  // namespace ncs::atm

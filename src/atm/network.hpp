@@ -1,27 +1,32 @@
-// ATM testbed topologies.
+// ATM testbed topology: a chain of switch stars.
 //
-// AtmLan — the paper's "SUN/ATM LAN": N hosts, each on a dedicated
-// 140 Mbps TAXI link into one FORE-style switch, with a full mesh of PVCs.
+// Every testbed in the paper is a chain of FORE-style switch stars. Each
+// host sits on a dedicated 140 Mbps TAXI link into its site's switch, and
+// neighbouring site switches are joined by a SONET hop:
 //
-// AtmWan — the NYNET shape (Fig 1): two sites, each a LAN star, whose
-// switches are joined by a long-haul SONET link (OC-48 core, or the DS-3
-// upstate-downstate hop) with millisecond propagation delay — the term the
-// paper's overlap argument targets.
+//   n_sites == 1  the "SUN/ATM LAN": one switch, no backbone.
+//   n_sites == 2  NYNET (Fig 1): two site stars joined by one long-haul hop
+//                 (DS-3 upstate-downstate by default) whose millisecond
+//                 propagation is the term the paper's overlap argument
+//                 targets.
+//   n_sites >= 3  NYNET extrapolated for scale studies.
 //
-// AtmMultiWan — the NYNET shape extrapolated: a chain of `n_sites` LAN
-// stars whose switches are joined by per-hop SONET links. Cross-site PVCs
-// are label-switched hop by hop through the VPI-1 backbone space, so the
-// label a path consumes is per-hop, not global — but the 16-bit VCI space
-// still bounds the paths crossing any one hop, which is why provisioning
-// is sparse (only the pairs the workload names) once host counts reach the
-// hundreds.
-//
-// VC numbering: a host sends to destination j on VCI kVciBase+j and
-// receives from source i on VCI kVciBase+i; the switches rewrite between
-// the two (cross-site hops use a VPI-1 backbone label space).
+// Hosts split into contiguous, near-equal site blocks (the first
+// n_hosts % n_sites sites take one extra host). PVCs are provisioned on
+// three planes — data, one-sided RMA, NIC collectives — for every pair, or
+// only for the pairs `provision` names. A host sends to host j on the
+// plane's VCI base + j and receives from host i under base + i; the
+// switches rewrite between the two. A path that crosses sites is
+// label-switched hop by hop through the plane's backbone VPI. Labels are
+// allocated per directed hop, so the 16-bit VCI space bounds the paths
+// crossing any one hop: 65,536 per plane.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "atm/nic.hpp"
@@ -80,160 +85,88 @@ inline int coll_src_of(VcId vc) {
   return static_cast<int>(vc.vci) - static_cast<int>(kCollVciBase);
 }
 
-/// Abstract N-host ATM fabric; LAN and WAN expose the same host-side API
-/// so the protocol stacks are topology-agnostic.
-class AtmFabric {
- public:
-  virtual ~AtmFabric() = default;
-  virtual int n_hosts() const = 0;
-  virtual Nic& nic(int host) = 0;
-
-  /// Enumeration over the fabric's physical elements — how a FaultInjector
-  /// reaches every link direction and switch without knowing the topology.
-  virtual void for_each_link(const std::function<void(net::Link&)>& fn) = 0;
-  virtual void for_each_switch(const std::function<void(Switch&)>& fn) = 0;
+/// One PVC plane: its host-side VCI range and the VPI its paths take
+/// across the backbone. Planes are provisioned in table order, each as its
+/// own pass, so an earlier plane's labels never depend on a later one.
+struct PvcPlane {
+  const char* name;
+  std::uint16_t vci_base;
+  std::uint8_t backbone_vpi;
 };
+inline constexpr std::array<PvcPlane, 3> kPvcPlanes{{
+    {"data", kVciBase, 1},
+    {"rma", kRmaVciBase, 2},
+    {"coll", kCollVciBase, 3},
+}};
 
-struct LanConfig {
+struct FabricConfig {
   int n_hosts = 4;
+  /// Switch stars in the chain: 1 = LAN, 2 = NYNET.
+  int n_sites = 1;
   NicParams nic;
   net::LinkParams host_link{
       .bandwidth_bps = bw::taxi_140,
       .propagation = Duration::microseconds(2),  // tens of meters of fiber
-      .per_frame_overhead = Duration::zero(),
   };
-  SwitchParams sw;
-};
-
-class AtmLan final : public AtmFabric {
- public:
-  AtmLan(sim::Engine& engine, LanConfig config);
-
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
-  Switch& fabric() { return *switch_; }
-
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
-    for (auto& l : links_) {
-      fn(l->forward());
-      fn(l->backward());
-    }
-  }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override { fn(*switch_); }
-
- private:
-  std::vector<std::unique_ptr<net::DuplexLink>> links_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::unique_ptr<Switch> switch_;
-};
-
-struct WanConfig {
-  int n_hosts = 4;  // first half at site 0, rest at site 1
-  NicParams nic;
-  net::LinkParams host_link{
-      .bandwidth_bps = bw::taxi_140,
-      .propagation = Duration::microseconds(2),
-  };
-  /// Inter-site SONET hop. Default: DS-3 with upstate-downstate distance.
+  /// Per-hop inter-site SONET link. Default: DS-3 with upstate-downstate
+  /// distance.
   net::LinkParams backbone{
       .bandwidth_bps = bw::ds3,
       .propagation = Duration::milliseconds(2.5),  // ~500 km of fiber
   };
   SwitchParams sw;
-};
-
-struct MultiWanConfig {
-  int n_hosts = 8;
-  /// Sites in the chain; hosts are split into contiguous, near-equal
-  /// blocks (site 0 gets the remainder first).
-  int n_sites = 4;
-  NicParams nic;
-  net::LinkParams host_link{
-      .bandwidth_bps = bw::taxi_140,
-      .propagation = Duration::microseconds(2),
-  };
-  /// Per-hop inter-site SONET link.
-  net::LinkParams backbone{
-      .bandwidth_bps = bw::ds3,
-      .propagation = Duration::milliseconds(2.5),
-  };
-  SwitchParams sw;
-  /// Directed (src, dst) host pairs to provision PVCs for; duplicates are
-  /// ignored. Empty = full mesh, which is only viable while every backbone
-  /// hop carries fewer than 2^16 paths — large topologies must name the
-  /// traffic matrix.
+  /// Directed (src, dst) host pairs to provision PVCs for; duplicates and
+  /// self pairs are ignored. Empty = full mesh, self routes included, which
+  /// is only viable while every backbone hop carries at most 65,536 paths
+  /// per plane — large topologies must name the traffic matrix.
   std::vector<std::pair<int, int>> provision;
 };
 
-class AtmMultiWan final : public AtmFabric {
+/// N-host ATM fabric: the host-side API (NICs) the protocol stacks use,
+/// plus the switch chain the signaling plane and fault injector reach.
+class AtmFabric {
  public:
-  AtmMultiWan(sim::Engine& engine, MultiWanConfig config);
+  AtmFabric(sim::Engine& engine, FabricConfig config);
 
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
+  int n_hosts() const { return static_cast<int>(nics_.size()); }
+  Nic& nic(int host) { return *nics_[static_cast<std::size_t>(host)]; }
   int n_sites() const { return static_cast<int>(switches_.size()); }
   int site_of(int host) const { return site_of_[static_cast<std::size_t>(host)]; }
   Switch& site_switch(int site) { return *switches_[static_cast<std::size_t>(site)]; }
 
-  /// Backbone labels consumed on the directed hop `site` -> `site+1`
-  /// (or the reverse) — provisioning headroom introspection.
-  int labels_used(int site, bool rightward) const;
+  /// Port index of `host` on its site switch.
+  int local_port(int host) const { return local_port_[static_cast<std::size_t>(host)]; }
+  /// Port on `site`'s switch of the backbone hop leading toward `other`.
+  int port_toward(int site, int other) const;
+  /// True when `port` on `site`'s switch is a backbone hop, not a host.
+  bool is_hop_port(int site, int port) const;
 
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
+  /// Backbone labels consumed on the directed hop `hop` -> `hop+1` (or the
+  /// reverse), summed over the planes — provisioning headroom introspection.
+  int labels_used(int hop, bool rightward) const;
+
+  /// Enumeration over the fabric's physical elements — how a FaultInjector
+  /// reaches every link direction and switch without knowing the topology.
+  void for_each_link(const std::function<void(net::Link&)>& fn) {
     for (auto& l : links_) {
       fn(l->forward());
       fn(l->backward());
     }
   }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override {
+  void for_each_switch(const std::function<void(Switch&)>& fn) {
     for (auto& s : switches_) fn(*s);
   }
 
  private:
-  enum class Plane { data, rma, coll };
-  void provision_pair(int src, int dst, Plane plane);
+  void provision_pair(int src, int dst, std::size_t plane);
 
   std::vector<int> site_of_;     // per host
   std::vector<int> local_port_;  // per host, port index on its site switch
   std::vector<int> left_port_;   // per site, port toward site-1 (-1 = none)
   std::vector<int> right_port_;  // per site, port toward site+1 (-1 = none)
-  /// Next free VPI-1 VCI per directed hop; index h = hop between sites h
-  /// and h+1.
-  std::vector<std::uint32_t> next_label_right_;
-  std::vector<std::uint32_t> next_label_left_;
-  std::vector<std::unique_ptr<net::DuplexLink>> links_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::unique_ptr<Switch>> switches_;
-};
-
-class AtmWan final : public AtmFabric {
- public:
-  AtmWan(sim::Engine& engine, WanConfig config);
-
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
-  int site_of(int host) const { return host < site0_hosts_ ? 0 : 1; }
-  Switch& site_switch(int site) { return *switches_[static_cast<std::size_t>(site)]; }
-
-  /// Port index of `host` on its site switch.
-  int local_port(int host) const { return local_port_[static_cast<std::size_t>(host)]; }
-  /// Port index of the inter-site link on `site`'s switch.
-  int backbone_port(int site) const { return backbone_port_[site]; }
-
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
-    for (auto& l : links_) {
-      fn(l->forward());
-      fn(l->backward());
-    }
-  }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override {
-    for (auto& s : switches_) fn(*s);
-  }
-
- private:
-  int site0_hosts_ = 0;
-  std::vector<int> local_port_;
-  int backbone_port_[2] = {0, 0};
+  /// Next free backbone label per hop, direction (0 = rightward) and plane;
+  /// hop h joins sites h and h+1.
+  std::vector<std::array<std::array<std::uint32_t, kPvcPlanes.size()>, 2>> next_label_;
   std::vector<std::unique_ptr<net::DuplexLink>> links_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Switch>> switches_;

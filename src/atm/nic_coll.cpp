@@ -22,7 +22,6 @@ constexpr std::size_t kHeader = 10;
 NicCollEngine::NicCollEngine(sim::Engine& engine, Nic& nic, NicCollParams params,
                              std::string name)
     : engine_(engine), nic_(nic), params_(params), name_(std::move(name)) {
-  NCS_ASSERT(params_.radix >= 1);
   // Terminate the whole collective VC plane in firmware. Charging happens
   // here, at reassembly time: one context lookup plus the per-cell fold
   // cost, serialized on the collective execution unit.
@@ -41,12 +40,12 @@ NicCollEngine::NicCollEngine(sim::Engine& engine, Nic& nic, NicCollParams params
                           });
 }
 
-void NicCollEngine::program(int rank, int n_procs) {
+void NicCollEngine::program(int rank, int n_procs, int radix) {
   NCS_ASSERT(rank >= 0 && rank < n_procs);
   rank_ = rank;
   n_procs_ = n_procs;
-  parent_ = coll::offload_parent(rank, params_.radix);
-  children_ = coll::offload_children(rank, n_procs, params_.radix);
+  parent_ = coll::offload_parent(rank, radix);
+  children_ = coll::offload_children(rank, n_procs, radix);
   armed_ = true;
   ++stats_.programs;
   if (trace_ != nullptr) trace_->instant(track_, "program", "nic_coll", engine_.now());

@@ -48,8 +48,6 @@ namespace ncs::atm {
 enum class CollKind : std::uint8_t { barrier = 0, allreduce = 1, bcast = 2 };
 
 struct NicCollParams {
-  /// Radix of the combine tree (must match coll::Params::offload_radix).
-  int radix = 2;
   /// Host doorbell -> firmware visibility of a local contribution.
   Duration doorbell = Duration::microseconds(2);
   /// Firmware context-table lookup per arriving PDU.
@@ -68,8 +66,8 @@ class NicCollEngine {
                 std::string name = "nic-coll");
 
   /// Arms the context: programs parent/children VCs and expected arity for
-  /// `rank` in a group of `n_procs`.
-  void program(int rank, int n_procs);
+  /// `rank` in a group of `n_procs`, on a combine tree of `radix`.
+  void program(int rank, int n_procs, int radix);
   /// Drops the context and every pending accumulation (SVC teardown).
   void teardown();
   bool armed() const { return armed_; }

@@ -148,52 +148,90 @@ void SignalingAgent::on_signaling_pdu(BytesView wire) {
   }
 }
 
-CallController::CallController(sim::Engine& engine, AtmLan& lan) : engine_(engine), lan_(lan) {
-  lan_.fabric().add_local_endpoint(kSignalingVc, [this](int in_port, Burst burst) {
-    const auto decoded = SignalingMessage::decode(burst.payload);
-    if (!decoded.is_ok()) {
-      NCS_WARN("atm.sig", "switch: dropping malformed signaling PDU from port %d", in_port);
+CallController::CallController(sim::Engine& engine, AtmFabric& fabric)
+    : engine_(engine), fabric_(fabric) {
+  for (int site = 0; site < fabric_.n_sites(); ++site) {
+    Switch& sw = fabric_.site_switch(site);
+    sw.add_local_endpoint(kSignalingVc, [this, site](int in_port, Burst burst) {
+      const auto decoded = SignalingMessage::decode(burst.payload);
+      if (!decoded.is_ok()) {
+        NCS_WARN("atm.sig", "site %d: dropping malformed signaling PDU from port %d", site,
+                 in_port);
+        return;
+      }
+      on_signaling(site, in_port, decoded.value());
+    });
+    // Signaling always tracks the fabric's health: a dead port releases the
+    // circuits through it so callers can re-establish after recovery.
+    sw.fault().subscribe([this, site](int port, bool down) {
+      if (down) {
+        fail_port(site, port);
+      } else {
+        restore_port(site, port);
+      }
+    });
+  }
+}
+
+void CallController::for_each_hop(int caller, int callee,
+                                  const std::function<void(int, int, int)>& fn) const {
+  const int last = fabric_.site_of(callee);
+  int site = fabric_.site_of(caller);
+  int in_port = fabric_.local_port(caller);
+  for (;;) {
+    if (site == last) {
+      fn(site, in_port, fabric_.local_port(callee));
       return;
     }
-    on_signaling(in_port, decoded.value());
+    const int next = site < last ? site + 1 : site - 1;
+    fn(site, in_port, fabric_.port_toward(site, next));
+    in_port = fabric_.port_toward(next, site);
+    site = next;
+  }
+}
+
+bool CallController::path_touches(int caller, int callee,
+                                  const std::set<std::pair<int, int>>& ports) const {
+  bool hit = false;
+  for_each_hop(caller, callee, [&](int site, int in_port, int out_port) {
+    hit = hit || ports.contains({site, in_port}) || ports.contains({site, out_port});
   });
-  // Signaling always tracks the fabric's health: a dead port releases the
-  // circuits through it so callers can re-establish after recovery.
-  lan_.fabric().fault().subscribe([this](int port, bool down) {
-    if (down) {
-      fail_port(port);
-    } else {
-      restore_port(port);
-    }
-  });
+  return hit;
 }
 
 void CallController::release_call_faulted(const Call& call) {
-  remove_call_routes(call);
-  by_vc_.erase(call.caller_vc);
-  by_vc_.erase(call.callee_vc);
+  if (call.connected) {
+    remove_call_routes(call);
+    by_vc_.erase(call.caller_vc);
+    by_vc_.erase(call.callee_vc);
+    --stats_.active_calls;
+  }
   ++stats_.faulted_releases;
-  if (call.connected) --stats_.active_calls;
   SignalingMessage note;
-  note.type = SignalingMessageType::release_complete;
   note.call_ref = call.call_ref;
   note.calling_party = call.caller;
-  note.called_party = call.callee;
   note.assigned_vc = call.caller_vc;
   note.peer_vc = call.callee_vc;
-  // Both parties are told; the one on the dead port won't hear it (the
-  // switch eats the PDU), matching reality.
-  forward_to_host(call.caller, note);
-  forward_to_host(call.callee, note);
+  // Each party hears it from its own site switch; one behind the dead port
+  // won't (the switch eats the PDU), matching reality. A caller the CONNECT
+  // has not reached still waits on its SETUP, so it gets the REJECT it can
+  // match; a CONNECT still crossing the backbone then finds nothing pending.
+  for (const int party : {call.caller, call.callee}) {
+    note.type = party == call.caller && !call.caller_knows
+                    ? SignalingMessageType::reject
+                    : SignalingMessageType::release_complete;
+    note.called_party = party;  // explicit destination for transit hops
+    route_to_host(fabric_.site_of(party), party, note);
+  }
 }
 
-void CallController::fail_port(int port) {
-  if (!failed_ports_.insert(port).second) return;
-  NCS_INFO("atm.sig", "call controller: port %d failed, releasing its calls", port);
-  // Host index == port index on the LAN star.
+void CallController::fail_port(int site, int port) {
+  if (!failed_ports_.insert({site, port}).second) return;
+  NCS_INFO("atm.sig", "call controller: site %d port %d failed, releasing its calls", site,
+           port);
   for (auto it = calls_.begin(); it != calls_.end();) {
     const Call call = it->second;
-    if (call.caller == port || call.callee == port) {
+    if (path_touches(call.caller, call.callee, {{site, port}})) {
       it = calls_.erase(it);
       release_call_faulted(call);
     } else {
@@ -202,14 +240,14 @@ void CallController::fail_port(int port) {
   }
 }
 
-void CallController::restore_port(int port) { failed_ports_.erase(port); }
+void CallController::restore_port(int site, int port) { failed_ports_.erase({site, port}); }
 
 SignalingAgent& CallController::agent(int host) {
   auto it = agents_.find(host);
   if (it == agents_.end()) {
     it = agents_
              .emplace(host,
-                      std::make_unique<SignalingAgent>(engine_, lan_.nic(host), host))
+                      std::make_unique<SignalingAgent>(engine_, fabric_.nic(host), host))
              .first;
   }
   return *it->second;
@@ -226,38 +264,75 @@ VcId CallController::allocate_vc() {
 }
 
 void CallController::install_call_routes(const Call& call) {
-  // Same label on both hops: (caller port, caller_vc) -> (callee port,
-  // caller_vc), and the mirror for the callee's transmit label.
-  lan_.fabric().add_route(call.caller, call.caller_vc, call.callee, call.caller_vc);
-  lan_.fabric().add_route(call.callee, call.callee_vc, call.caller, call.callee_vc);
+  // Label continuity: the same label on every hop, (in, caller_vc) ->
+  // (out, caller_vc) and the mirror for the callee's transmit label.
+  for_each_hop(call.caller, call.callee, [&](int site, int in_port, int out_port) {
+    Switch& sw = fabric_.site_switch(site);
+    sw.add_route(in_port, call.caller_vc, out_port, call.caller_vc);
+    sw.add_route(out_port, call.callee_vc, in_port, call.callee_vc);
+  });
 }
 
 void CallController::remove_call_routes(const Call& call) {
-  lan_.fabric().remove_route(call.caller, call.caller_vc);
-  lan_.fabric().remove_route(call.callee, call.callee_vc);
+  for_each_hop(call.caller, call.callee, [&](int site, int in_port, int out_port) {
+    Switch& sw = fabric_.site_switch(site);
+    sw.remove_route(in_port, call.caller_vc);
+    sw.remove_route(out_port, call.callee_vc);
+  });
 }
 
-void CallController::forward_to_host(int host, const SignalingMessage& msg) {
+void CallController::route_to_host(int site, int host, const SignalingMessage& msg) {
+  const int target = fabric_.site_of(host);
+  int port = fabric_.local_port(host);
+  if (target != site) {
+    // Transit the backbone: the next switch's local endpoint re-enters
+    // on_signaling with in_port == its hop port and relays onward.
+    ++stats_.backbone_hops;
+    port = fabric_.port_toward(site, target);
+  }
   Burst burst;
   burst.vc = kSignalingVc;
   burst.payload = msg.encode();
   burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
   burst.end_of_message = true;
-  lan_.fabric().send_local(host, std::move(burst));
+  fabric_.site_switch(site).send_local(port, std::move(burst));
 }
 
-void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
+void CallController::on_signaling(int site, int in_port, const SignalingMessage& msg) {
+  // A message entering from a backbone hop is in transit toward its
+  // destination host; host-originated messages drive the call state.
+  if (fabric_.is_hop_port(site, in_port)) {
+    switch (msg.type) {
+      case SignalingMessageType::setup:
+      case SignalingMessageType::release_complete:
+        route_to_host(site, msg.called_party, msg);
+        return;
+      case SignalingMessageType::connect:
+        if (site == fabric_.site_of(msg.calling_party)) {
+          const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
+          if (it != calls_.end()) it->second.caller_knows = true;
+        }
+        route_to_host(site, msg.calling_party, msg);
+        return;
+      case SignalingMessageType::reject:
+        route_to_host(site, msg.calling_party, msg);
+        return;
+      case SignalingMessageType::release:
+        return;  // teardown is driven at first entry
+    }
+  }
+
   switch (msg.type) {
     case SignalingMessageType::setup: {
       ++stats_.setups;
-      if (msg.called_party < 0 || msg.called_party >= lan_.n_hosts() ||
-          failed_ports_.contains(msg.called_party)) {
+      if (msg.called_party < 0 || msg.called_party >= fabric_.n_hosts() ||
+          path_touches(msg.calling_party, msg.called_party, failed_ports_)) {
         // Unknown party — or a known one behind a failed port, where the
         // offer could never be delivered: reject instead of letting the
         // caller hang on a SETUP with no answer.
         SignalingMessage reject = msg;
         reject.type = SignalingMessageType::reject;
-        forward_to_host(msg.calling_party, reject);
+        route_to_host(site, msg.calling_party, reject);
         ++stats_.rejects;
         return;
       }
@@ -269,14 +344,15 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       SignalingMessage offer = msg;
       offer.assigned_vc = call.callee_vc;
       offer.peer_vc = call.caller_vc;
-      forward_to_host(call.callee, offer);
+      route_to_host(site, call.callee, offer);
       return;
     }
     case SignalingMessageType::connect: {
       const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
       if (it == calls_.end()) return;
       Call& call = it->second;
-      NCS_ASSERT(in_port == call.callee);
+      NCS_ASSERT(site == fabric_.site_of(call.callee) &&
+                 in_port == fabric_.local_port(call.callee));
       call.connected = true;
       install_call_routes(call);
       by_vc_[call.caller_vc] = it->first;
@@ -287,14 +363,15 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       SignalingMessage connect = msg;
       connect.assigned_vc = call.caller_vc;
       connect.peer_vc = call.callee_vc;
-      forward_to_host(call.caller, connect);
+      call.caller_knows = site == fabric_.site_of(call.caller);
+      route_to_host(site, call.caller, connect);
       return;
     }
     case SignalingMessageType::reject: {
       const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
       if (it == calls_.end()) return;
       ++stats_.rejects;
-      forward_to_host(it->second.caller, msg);
+      route_to_host(site, it->second.caller, msg);
       calls_.erase(it);
       return;
     }
@@ -311,247 +388,6 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       ++stats_.releases;
       --stats_.active_calls;
       // Notify both parties.
-      SignalingMessage note = msg;
-      note.type = SignalingMessageType::release_complete;
-      note.assigned_vc = call.caller_vc;
-      note.peer_vc = call.callee_vc;
-      forward_to_host(call.caller, note);
-      forward_to_host(call.callee, note);
-      return;
-    }
-    case SignalingMessageType::release_complete:
-      return;  // host-side only
-  }
-}
-
-WanCallController::WanCallController(sim::Engine& engine, AtmWan& wan)
-    : engine_(engine), wan_(wan) {
-  for (int site = 0; site < 2; ++site) {
-    wan_.site_switch(site).add_local_endpoint(
-        kSignalingVc, [this, site](int in_port, Burst burst) {
-          const auto decoded = SignalingMessage::decode(burst.payload);
-          if (!decoded.is_ok()) {
-            NCS_WARN("atm.sig", "site %d: dropping malformed signaling PDU", site);
-            return;
-          }
-          on_signaling(site, in_port, decoded.value());
-        });
-    wan_.site_switch(site).fault().subscribe([this, site](int port, bool down) {
-      if (down) {
-        fail_port(site, port);
-      } else {
-        restore_port(site, port);
-      }
-    });
-  }
-}
-
-bool WanCallController::touches_port(const Call& call, int site, int port) const {
-  if (port == wan_.backbone_port(site))
-    return wan_.site_of(call.caller) != wan_.site_of(call.callee);
-  for (const int party : {call.caller, call.callee})
-    if (wan_.site_of(party) == site && wan_.local_port(party) == port) return true;
-  return false;
-}
-
-void WanCallController::release_call_faulted(const Call& call) {
-  remove_call_routes(call);
-  by_vc_.erase(call.caller_vc);
-  by_vc_.erase(call.callee_vc);
-  ++stats_.faulted_releases;
-  --stats_.active_calls;
-  for (const int party : {call.caller, call.callee}) {
-    SignalingMessage note;
-    note.type = SignalingMessageType::release_complete;
-    note.call_ref = call.call_ref;
-    note.calling_party = call.caller;
-    note.called_party = party;  // explicit destination for transit hops
-    note.assigned_vc = call.caller_vc;
-    note.peer_vc = call.callee_vc;
-    route_to_host(wan_.site_of(party), party, note);
-  }
-}
-
-void WanCallController::fail_port(int site, int port) {
-  if (!failed_ports_.insert({site, port}).second) return;
-  NCS_INFO("atm.sig", "wan call controller: site %d port %d failed", site, port);
-  // Connected calls only (by_vc_): half-open calls resolve when the
-  // CONNECT/REJECT PDU is eaten by the dead port and the caller retries.
-  for (auto it = calls_.begin(); it != calls_.end();) {
-    const Call call = it->second;
-    if (by_vc_.contains(call.caller_vc) && touches_port(call, site, port)) {
-      it = calls_.erase(it);
-      release_call_faulted(call);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void WanCallController::restore_port(int site, int port) {
-  failed_ports_.erase({site, port});
-}
-
-SignalingAgent& WanCallController::agent(int host) {
-  auto it = agents_.find(host);
-  if (it == agents_.end()) {
-    it = agents_
-             .emplace(host,
-                      std::make_unique<SignalingAgent>(engine_, wan_.nic(host), host))
-             .first;
-  }
-  return *it->second;
-}
-
-VcId WanCallController::allocate_vc() {
-  // Same bound as the LAN controller: dynamic labels stop short of the
-  // lowest reserved PVC plane (the NIC collective-context range) instead
-  // of wrapping into it.
-  NCS_ASSERT_MSG(next_vci_ < kCollVciBase, "dynamic VCI space exhausted");
-  return VcId{0, next_vci_++};
-}
-
-void WanCallController::send_on_switch_port(int site, int port, const SignalingMessage& msg) {
-  Burst burst;
-  burst.vc = kSignalingVc;
-  burst.payload = msg.encode();
-  burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
-  burst.end_of_message = true;
-  wan_.site_switch(site).send_local(port, std::move(burst));
-}
-
-void WanCallController::route_to_host(int from_site, int host, const SignalingMessage& msg) {
-  const int target_site = wan_.site_of(host);
-  if (target_site != from_site) {
-    // Transit the backbone: the peer switch's local endpoint re-enters
-    // on_signaling with in_port == its backbone port.
-    ++stats_.backbone_hops;
-    send_on_switch_port(from_site, wan_.backbone_port(from_site), msg);
-    return;
-  }
-  send_on_switch_port(target_site, wan_.local_port(host), msg);
-}
-
-void WanCallController::install_call_routes(const Call& call) {
-  const int sa = wan_.site_of(call.caller);
-  const int sb = wan_.site_of(call.callee);
-  Switch& swa = wan_.site_switch(sa);
-  Switch& swb = wan_.site_switch(sb);
-  const int pa = wan_.local_port(call.caller);
-  const int pb = wan_.local_port(call.callee);
-  if (sa == sb) {
-    swa.add_route(pa, call.caller_vc, pb, call.caller_vc);
-    swa.add_route(pb, call.callee_vc, pa, call.callee_vc);
-    return;
-  }
-  // Label continuity across the backbone: the same VCI on every hop.
-  swa.add_route(pa, call.caller_vc, wan_.backbone_port(sa), call.caller_vc);
-  swb.add_route(wan_.backbone_port(sb), call.caller_vc, pb, call.caller_vc);
-  swb.add_route(pb, call.callee_vc, wan_.backbone_port(sb), call.callee_vc);
-  swa.add_route(wan_.backbone_port(sa), call.callee_vc, pa, call.callee_vc);
-}
-
-void WanCallController::remove_call_routes(const Call& call) {
-  const int sa = wan_.site_of(call.caller);
-  const int sb = wan_.site_of(call.callee);
-  const int pa = wan_.local_port(call.caller);
-  const int pb = wan_.local_port(call.callee);
-  if (sa == sb) {
-    wan_.site_switch(sa).remove_route(pa, call.caller_vc);
-    wan_.site_switch(sa).remove_route(pb, call.callee_vc);
-    return;
-  }
-  wan_.site_switch(sa).remove_route(pa, call.caller_vc);
-  wan_.site_switch(sb).remove_route(wan_.backbone_port(sb), call.caller_vc);
-  wan_.site_switch(sb).remove_route(pb, call.callee_vc);
-  wan_.site_switch(sa).remove_route(wan_.backbone_port(sa), call.callee_vc);
-}
-
-void WanCallController::on_signaling(int site, int in_port, const SignalingMessage& msg) {
-  // A message entering from the backbone port continues towards its
-  // destination host; host-originated messages drive the call state.
-  const bool from_backbone = in_port == wan_.backbone_port(site);
-
-  switch (msg.type) {
-    case SignalingMessageType::setup: {
-      if (from_backbone) {  // offer in transit towards the callee
-        route_to_host(site, msg.called_party, msg);
-        return;
-      }
-      ++stats_.setups;
-      bool unreachable = msg.called_party < 0 || msg.called_party >= wan_.n_hosts();
-      if (!unreachable) {
-        const int target_site = wan_.site_of(msg.called_party);
-        unreachable =
-            failed_ports_.contains({target_site, wan_.local_port(msg.called_party)});
-        // A cross-site offer also needs the backbone alive on both ends.
-        if (target_site != site)
-          unreachable = unreachable ||
-                        failed_ports_.contains({site, wan_.backbone_port(site)}) ||
-                        failed_ports_.contains(
-                            {target_site, wan_.backbone_port(target_site)});
-      }
-      if (unreachable) {
-        SignalingMessage reject = msg;
-        reject.type = SignalingMessageType::reject;
-        route_to_host(site, msg.calling_party, reject);
-        ++stats_.rejects;
-        return;
-      }
-      Call call{msg.call_ref, msg.calling_party, msg.called_party, allocate_vc(),
-                allocate_vc()};
-      calls_.emplace(std::make_pair(call.caller, call.call_ref), call);
-      SignalingMessage offer = msg;
-      offer.assigned_vc = call.callee_vc;
-      offer.peer_vc = call.caller_vc;
-      route_to_host(site, call.callee, offer);
-      return;
-    }
-    case SignalingMessageType::connect: {
-      if (from_backbone) {
-        route_to_host(site, msg.calling_party, msg);
-        return;
-      }
-      const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
-      Call& call = it->second;
-      install_call_routes(call);
-      by_vc_[call.caller_vc] = it->first;
-      by_vc_[call.callee_vc] = it->first;
-      ++stats_.connects;
-      ++stats_.active_calls;
-      SignalingMessage connect = msg;
-      connect.assigned_vc = call.caller_vc;
-      connect.peer_vc = call.callee_vc;
-      route_to_host(site, call.caller, connect);
-      return;
-    }
-    case SignalingMessageType::reject: {
-      if (from_backbone) {
-        route_to_host(site, msg.calling_party, msg);
-        return;
-      }
-      const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
-      ++stats_.rejects;
-      SignalingMessage reject = msg;
-      route_to_host(site, it->second.caller, reject);
-      calls_.erase(it);
-      return;
-    }
-    case SignalingMessageType::release: {
-      if (from_backbone) return;  // teardown is driven at first entry
-      const auto vit = by_vc_.find(msg.assigned_vc);
-      if (vit == by_vc_.end()) return;
-      const auto cit = calls_.find(vit->second);
-      NCS_ASSERT(cit != calls_.end());
-      const Call call = cit->second;
-      remove_call_routes(call);
-      by_vc_.erase(call.caller_vc);
-      by_vc_.erase(call.callee_vc);
-      calls_.erase(cit);
-      ++stats_.releases;
-      --stats_.active_calls;
       for (const int party : {call.caller, call.callee}) {
         SignalingMessage note = msg;
         note.type = SignalingMessageType::release_complete;
@@ -563,8 +399,7 @@ void WanCallController::on_signaling(int site, int in_port, const SignalingMessa
       return;
     }
     case SignalingMessageType::release_complete:
-      if (from_backbone) route_to_host(site, msg.called_party, msg);
-      return;
+      return;  // host-side only
   }
 }
 

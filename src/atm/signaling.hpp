@@ -1,11 +1,11 @@
 // ATM switched-virtual-circuit signaling (Q.2931-shaped, simplified).
 //
-// The paper's testbed uses preconfigured PVCs (our topology builders
-// install a full mesh); real ATM deployments set circuits up on demand
-// over the reserved signaling channel VPI 0 / VCI 5. This module adds that
-// control plane to the LAN fabric as an extension:
+// The paper's testbed uses preconfigured PVCs (the fabric builder installs
+// a full mesh); real ATM deployments set circuits up on demand over the
+// reserved signaling channel VPI 0 / VCI 5. This module adds that control
+// plane to the switch chain as an extension:
 //
-//   host A                switch (CallController)              host B
+//   host A               switches (CallController)             host B
 //   SETUP(called=B) ----->  allocate VC labels,
 //                           install half routes   -----> SETUP(caller=A)
 //                                                        agent accepts?
@@ -112,81 +112,25 @@ class SignalingAgent {
   Stats stats_;
 };
 
-/// Switch-side call controller for a single-switch (LAN) fabric: owns the
-/// dynamic VCI space, installs/removes routes, and relays the signaling
-/// conversation between the parties.
+/// Switch-side call controller for the whole switch chain: owns the
+/// dynamic VCI space, installs/removes routes on every switch a call
+/// crosses, and relays the signaling conversation between the parties. A
+/// cross-site call's signaling transits the backbone hop by hop (each
+/// switch's local endpoint relays it onward) and its data routes keep the
+/// same label on every hop.
 class CallController {
  public:
-  CallController(sim::Engine& engine, AtmLan& lan);
+  CallController(sim::Engine& engine, AtmFabric& fabric);
 
   /// Returns the agent for `host` (created lazily on first use).
   SignalingAgent& agent(int host);
 
-  /// Port-failure handling (driven by the switch's SwitchFault, to which
-  /// the controller subscribes at construction; tests may call directly).
-  /// fail_port releases every call whose party sits on `port` and rejects
-  /// new SETUPs towards it until restore_port.
-  void fail_port(int port);
-  void restore_port(int port);
-
-  struct Stats {
-    std::uint64_t setups = 0;
-    std::uint64_t connects = 0;
-    std::uint64_t rejects = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t active_calls = 0;
-    std::uint64_t faulted_releases = 0;  // calls torn down by port failure
-  };
-  const Stats& stats() const { return stats_; }
-
-  /// Test hook: fast-forwards the dynamic label allocator so range-guard
-  /// tests need not burn tens of thousands of real calls.
-  void set_next_vci_for_test(std::uint16_t v) { next_vci_ = v; }
-
- private:
-  friend class SignalingAgent;
-
-  struct Call {
-    std::uint32_t call_ref;
-    int caller;
-    int callee;
-    VcId caller_vc;  // label the caller transmits on
-    VcId callee_vc;  // label the callee transmits on
-    bool connected = false;
-  };
-
-  /// Entry point for signaling PDUs arriving at the switch from `in_port`.
-  void on_signaling(int in_port, const SignalingMessage& msg);
-  void forward_to_host(int host, const SignalingMessage& msg);
-  VcId allocate_vc();
-  void install_call_routes(const Call& call);
-  void remove_call_routes(const Call& call);
-
-  void release_call_faulted(const Call& call);
-
-  sim::Engine& engine_;
-  AtmLan& lan_;
-  std::map<int, std::unique_ptr<SignalingAgent>> agents_;
-  std::map<std::pair<int, std::uint32_t>, Call> calls_;  // (caller, ref)
-  std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;  // either data vc -> call key
-  std::set<int> failed_ports_;
-  std::uint16_t next_vci_ = kDynamicVciBase;
-  Stats stats_;
-};
-
-/// Call controller for the two-site WAN fabric: the same protocol, but a
-/// cross-site call's signaling transits the SONET backbone hop-by-hop and
-/// its data routes are installed on *both* site switches with label
-/// continuity across the backbone.
-class WanCallController {
- public:
-  WanCallController(sim::Engine& engine, AtmWan& wan);
-
-  SignalingAgent& agent(int host);
-
-  /// Port-failure handling on `site`'s switch (subscribed to both site
-  /// switches' SwitchFault at construction). A failed backbone port
-  /// releases every cross-site call.
+  /// Port-failure handling on `site`'s switch (driven by every switch's
+  /// SwitchFault, to which the controller subscribes at construction).
+  /// fail_port tears down every call whose path uses the port — a
+  /// connected call is released, a half-open one (its caller not yet sent
+  /// the CONNECT) is answered with REJECT so the caller can retry — and
+  /// rejects new SETUPs across it until restore_port.
   void fail_port(int site, int port);
   void restore_port(int site, int port);
 
@@ -196,13 +140,13 @@ class WanCallController {
     std::uint64_t rejects = 0;
     std::uint64_t releases = 0;
     std::uint64_t active_calls = 0;
-    std::uint64_t backbone_hops = 0;  // signaling messages that crossed sites
-    std::uint64_t faulted_releases = 0;
+    std::uint64_t backbone_hops = 0;     // signaling messages sent across a hop
+    std::uint64_t faulted_releases = 0;  // calls torn down by port failure
   };
   const Stats& stats() const { return stats_; }
 
-  /// Test hook: fast-forwards the dynamic label allocator (see
-  /// CallController::set_next_vci_for_test).
+  /// Test hook: fast-forwards the dynamic label allocator so range-guard
+  /// tests need not burn tens of thousands of real calls.
   void set_next_vci_for_test(std::uint16_t v) { next_vci_ = v; }
 
  private:
@@ -210,28 +154,33 @@ class WanCallController {
     std::uint32_t call_ref;
     int caller;
     int callee;
-    VcId caller_vc;
-    VcId callee_vc;
+    VcId caller_vc;  // label the caller transmits on
+    VcId callee_vc;  // label the callee transmits on
+    bool connected = false;    // routes installed
+    bool caller_knows = false;  // CONNECT sent on the caller's port
   };
 
+  /// Entry point for signaling PDUs arriving at `site`'s switch.
   void on_signaling(int site, int in_port, const SignalingMessage& msg);
-  /// Delivers `msg` to `host`, transiting the backbone first when it is
-  /// not reachable from `from_site`.
-  void route_to_host(int from_site, int host, const SignalingMessage& msg);
-  void send_on_switch_port(int site, int port, const SignalingMessage& msg);
+  /// Sends `msg` from `site`'s switch toward `host`: on its port when the
+  /// host is local, else one hop along the chain.
+  void route_to_host(int site, int host, const SignalingMessage& msg);
+  /// Calls fn(site, in_port, out_port) for each switch on the path from
+  /// `caller` to `callee`; in_port faces the caller, out_port the callee.
+  void for_each_hop(int caller, int callee,
+                    const std::function<void(int, int, int)>& fn) const;
+  bool path_touches(int caller, int callee, const std::set<std::pair<int, int>>& ports) const;
   VcId allocate_vc();
   void install_call_routes(const Call& call);
   void remove_call_routes(const Call& call);
-
   void release_call_faulted(const Call& call);
-  bool touches_port(const Call& call, int site, int port) const;
 
   sim::Engine& engine_;
-  AtmWan& wan_;
+  AtmFabric& fabric_;
   std::map<int, std::unique_ptr<SignalingAgent>> agents_;
-  std::map<std::pair<int, std::uint32_t>, Call> calls_;
-  std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;
-  std::set<std::pair<int, int>> failed_ports_;  // (site, port)
+  std::map<std::pair<int, std::uint32_t>, Call> calls_;  // (caller, ref)
+  std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;  // either data vc -> call key
+  std::set<std::pair<int, int>> failed_ports_;           // (site, port)
   std::uint16_t next_vci_ = kDynamicVciBase;
   Stats stats_;
 };

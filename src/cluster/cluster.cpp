@@ -13,6 +13,16 @@
 
 namespace ncs::cluster {
 
+namespace {
+
+/// Trace track and metrics prefix of a site switch: "switch" on a LAN,
+/// "switch<s>" on a chain of sites.
+std::string switch_prefix(const atm::AtmFabric& fabric, int site) {
+  return fabric.n_sites() == 1 ? "switch" : "switch" + std::to_string(site);
+}
+
+}  // namespace
+
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)), engine_(config_.queue) {
   NCS_ASSERT(config_.n_procs >= 1);
@@ -37,45 +47,22 @@ Cluster::Cluster(ClusterConfig config)
     case NetworkKind::ethernet:
       bus_ = std::make_unique<ether::Bus>(engine_, config_.bus, config_.n_procs);
       break;
-    case NetworkKind::atm_lan: {
-      atm::LanConfig lc;
-      lc.n_hosts = config_.n_procs;
-      lc.nic = config_.nic;
-      lc.host_link = config_.host_link;
-      lc.sw = config_.sw;
-      fabric_ = std::make_unique<atm::AtmLan>(engine_, lc);
-      break;
-    }
-    case NetworkKind::atm_wan: {
-      atm::WanConfig wc;
-      wc.n_hosts = config_.n_procs;
-      wc.nic = config_.nic;
-      wc.host_link = config_.host_link;
-      wc.backbone = config_.wan_backbone;
-      wc.sw = config_.sw;
-      if (config_.n_procs < 2) {
-        // A one-host "WAN" degenerates to a LAN star.
-        atm::LanConfig lc;
-        lc.n_hosts = config_.n_procs;
-        lc.nic = config_.nic;
-        lc.host_link = config_.host_link;
-        lc.sw = config_.sw;
-        fabric_ = std::make_unique<atm::AtmLan>(engine_, lc);
-      } else {
-        fabric_ = std::make_unique<atm::AtmWan>(engine_, wc);
-      }
-      break;
-    }
+    case NetworkKind::atm_lan:
+    case NetworkKind::atm_wan:
     case NetworkKind::atm_wan_multi: {
-      atm::MultiWanConfig mc;
-      mc.n_hosts = config_.n_procs;
-      mc.n_sites = std::min(config_.wan_sites, config_.n_procs);
-      mc.nic = config_.nic;
-      mc.host_link = config_.host_link;
-      mc.backbone = config_.wan_backbone;
-      mc.sw = config_.sw;
-      mc.provision = config_.wan_provision;
-      fabric_ = std::make_unique<atm::AtmMultiWan>(engine_, mc);
+      atm::FabricConfig fc;
+      fc.n_hosts = config_.n_procs;
+      fc.nic = config_.nic;
+      fc.host_link = config_.host_link;
+      fc.backbone = config_.wan_backbone;
+      fc.sw = config_.sw;
+      if (config_.network == NetworkKind::atm_wan) {
+        fc.n_sites = std::min(2, config_.n_procs);
+      } else if (config_.network == NetworkKind::atm_wan_multi) {
+        fc.n_sites = std::min(config_.wan_sites, config_.n_procs);
+        fc.provision = config_.wan_provision;
+      }
+      fabric_ = std::make_unique<atm::AtmFabric>(engine_, std::move(fc));
       break;
     }
   }
@@ -138,15 +125,8 @@ void Cluster::enable_trace() {
   if (fabric_ != nullptr) {
     for (int r = 0; r < config_.n_procs; ++r)
       fabric_->nic(r).set_trace(&trace_, "p" + std::to_string(r) + "/nic");
-    if (auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get()); lan != nullptr) {
-      lan->fabric().set_trace(&trace_, trace_.track("switch"));
-    } else if (auto* wan = dynamic_cast<atm::AtmWan*>(fabric_.get()); wan != nullptr) {
-      for (int s = 0; s < 2; ++s)
-        wan->site_switch(s).set_trace(&trace_, trace_.track("switch" + std::to_string(s)));
-    } else if (auto* mwan = dynamic_cast<atm::AtmMultiWan*>(fabric_.get()); mwan != nullptr) {
-      for (int s = 0; s < mwan->n_sites(); ++s)
-        mwan->site_switch(s).set_trace(&trace_, trace_.track("switch" + std::to_string(s)));
-    }
+    for (int s = 0; s < fabric_->n_sites(); ++s)
+      fabric_->site_switch(s).set_trace(&trace_, trace_.track(switch_prefix(*fabric_, s)));
   }
   injector_->set_trace(&trace_);
   // Runtime modules created later (nodes, TCP mesh) attach in init_*.
@@ -208,16 +188,8 @@ obs::MetricsRegistry& Cluster::metrics() {
     if (fabric_ != nullptr) {
       for (int r = 0; r < config_.n_procs; ++r)
         fabric_->nic(r).register_metrics(reg, "p" + std::to_string(r) + "/nic");
-      if (auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get()); lan != nullptr) {
-        lan->fabric().register_metrics(reg, "switch");
-      } else if (auto* wan = dynamic_cast<atm::AtmWan*>(fabric_.get()); wan != nullptr) {
-        for (int s = 0; s < 2; ++s)
-          wan->site_switch(s).register_metrics(reg, "switch" + std::to_string(s));
-      } else if (auto* mwan = dynamic_cast<atm::AtmMultiWan*>(fabric_.get());
-                 mwan != nullptr) {
-        for (int s = 0; s < mwan->n_sites(); ++s)
-          mwan->site_switch(s).register_metrics(reg, "switch" + std::to_string(s));
-      }
+      for (int s = 0; s < fabric_->n_sites(); ++s)
+        fabric_->site_switch(s).register_metrics(reg, switch_prefix(*fabric_, s));
     }
     for (auto& e : rma_engines_)
       e->register_metrics(reg, "p" + std::to_string(e->rank()) + "/rma");
@@ -268,9 +240,9 @@ void Cluster::init_ncs_hsm() {
                  "HSM requires an ATM fabric");
   NCS_ASSERT_MSG(p4_ == nullptr, "runtime already initialized");
   if (config_.hsm_use_svc) {
-    auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get());
-    NCS_ASSERT_MSG(lan != nullptr, "SVC provisioning needs the single-switch ATM LAN");
-    call_controller_ = std::make_unique<atm::CallController>(engine_, *lan);
+    NCS_ASSERT_MSG(fabric_->n_sites() == 1,
+                   "SVC provisioning needs the single-switch ATM LAN");
+    call_controller_ = std::make_unique<atm::CallController>(engine_, *fabric_);
   }
   for (int r = 0; r < config_.n_procs; ++r) {
     mps::AtmTransport::Params tp;
@@ -296,10 +268,8 @@ void Cluster::init_ncs_hsm() {
       nodes_.back()->set_rma(rma_engines_.back().get());
     }
     if (config_.ncs.coll.nic_offload) {
-      atm::NicCollParams ncp = config_.nic_coll;
-      ncp.radix = config_.ncs.coll.offload_radix;
-      coll_ports_.push_back(
-          std::make_unique<mps::NicCollPort>(*nodes_.back(), fabric_->nic(r), ncp));
+      coll_ports_.push_back(std::make_unique<mps::NicCollPort>(
+          *nodes_.back(), fabric_->nic(r), config_.nic_coll));
       mps::NicCollPort* port = coll_ports_.back().get();
       if (trace_enabled_)
         port->engine().set_trace(&trace_, "p" + std::to_string(r) + "/nic_coll");

@@ -66,7 +66,8 @@ struct ClusterConfig {
   /// ablation_nodelay bench shows the collapse without it.
   proto::TcpParams tcp{.nagle = false};
 
-  // ATM fabrics.
+  // ATM fabric: atm_lan is one site, atm_wan min(2, n_procs) sites,
+  // atm_wan_multi min(wan_sites, n_procs) sites (atm::AtmFabric).
   atm::NicParams nic{.io_buffer_size = 9216, .tx_buffers = 2};
   net::LinkParams host_link{.bandwidth_bps = bw::taxi_140,
                             .propagation = Duration::microseconds(2)};
@@ -76,7 +77,7 @@ struct ClusterConfig {
 
   // Multi-stage WAN (NetworkKind::atm_wan_multi): chain length and the
   // provisioned traffic matrix (empty = full PVC mesh; large clusters must
-  // name their pairs — see atm::MultiWanConfig::provision).
+  // name their pairs — see atm::FabricConfig::provision).
   int wan_sites = 4;
   std::vector<std::pair<int, int>> wan_provision;
 
@@ -96,8 +97,8 @@ struct ClusterConfig {
   /// Firmware timing model for the NIC-offloaded collectives. The feature
   /// itself is switched by `ncs.coll.nic_offload` (selection thresholds
   /// live beside it in coll::Params); when set, init_ncs_hsm() attaches a
-  /// mps::NicCollPort per rank. The tree radix is taken from
-  /// `ncs.coll.offload_radix` — the value here is ignored.
+  /// mps::NicCollPort per rank. The tree radix is
+  /// `ncs.coll.offload_radix`.
   atm::NicCollParams nic_coll;
   /// HSM tier circuit provisioning: static full-mesh PVCs (default, the
   /// testbed configuration) or on-demand SVCs via the signaling channel
@@ -105,9 +106,11 @@ struct ClusterConfig {
   bool hsm_use_svc = false;
 
   /// Scripted fault scenario armed on the cluster's FaultInjector at run()
-  /// (empty = fault-free). Targets: "ether", link names ("taxi0", "sonet"),
-  /// switch names ("lan-switch", "wan-switch0"), NIC names ("nic0"), hosts
-  /// ("p0"). See fault/plan.hpp for the event vocabulary and text syntax.
+  /// (empty = fault-free). Targets: "ether"; host links "taxi<i>"; NICs
+  /// "nic<i>"; hosts "p<r>"; the switch "lan-switch" on a one-site fabric,
+  /// else "wan-switch<s>"; the backbone "sonet" on a two-site fabric, else
+  /// "sonet<h>" for the hop between sites h and h+1. See fault/plan.hpp for
+  /// the event vocabulary and text syntax.
   fault::FaultPlan faults;
 
   /// When nonempty, the cluster enables Chrome tracing at construction and

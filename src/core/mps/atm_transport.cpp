@@ -60,16 +60,18 @@ atm::VcId AtmTransport::vc_towards(int to_process) {
   for (int attempt = 0;; ++attempt) {
     mts::Thread* self = host_.current();
     std::optional<Result<atm::VcId>> outcome;
-    params_.signaling->open_call(to_process, [this, self, &outcome](Result<atm::VcId> vc) {
-      outcome = std::move(vc);
-      host_.unblock(self);
-    });
+    // Cache the circuit as soon as CONNECT lands, so a RELEASE that
+    // arrives before this thread runs again still finds and retires it.
+    params_.signaling->open_call(
+        to_process, [this, self, to_process, &outcome](Result<atm::VcId> vc) {
+          if (vc.is_ok()) svc_to_.emplace(to_process, vc.value());
+          outcome = std::move(vc);
+          host_.unblock(self);
+        });
     ++stats_.svc_calls_opened;
     while (!outcome.has_value()) host_.block(sim::Activity::communicate);
-    if (outcome->is_ok()) {
-      svc_to_.emplace(to_process, outcome->value());
-      return outcome->value();
-    }
+    if (const auto cached = svc_to_.find(to_process); cached != svc_to_.end())
+      return cached->second;
     NCS_ASSERT_MSG(attempt < params_.svc_retry_limit,
                    "SVC call setup rejected past the retry limit");
     ++stats_.svc_retries;

@@ -30,8 +30,6 @@ NicCollPort::NicCollPort(Node& node, atm::Nic& nic, atm::NicCollParams nic_param
               "nic-coll" + std::to_string(node.rank())),
       timeout_(Duration::microseconds(
           static_cast<double>(node.coll().params().offload_timeout_us))) {
-  NCS_ASSERT_MSG(nic_params.radix == node.coll().params().offload_radix,
-                 "firmware tree radix must match the selection params");
   engine_.set_completion(
       [this](std::uint64_t seq, Bytes result) { on_complete(seq, std::move(result)); });
   host_.spawn([this] { server_main(); },
@@ -55,7 +53,7 @@ void NicCollPort::begin(std::uint64_t seq, coll::Op op, BytesView own) {
   // Lazy (re-)arm: a prior fault tore the context down with the SVC; the
   // next operation re-establishes it before contributing.
   if (!engine_.armed()) {
-    engine_.program(node_.rank(), node_.n_procs());
+    engine_.program(node_.rank(), node_.n_procs(), node_.coll().params().offload_radix);
     ++stats_.rearms;
   }
   engine_.contribute(seq, kind_of(op), to_bytes(own));

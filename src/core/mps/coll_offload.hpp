@@ -32,8 +32,8 @@ class NicCollPort final : public coll::OffloadPort {
  public:
   /// Builds the firmware engine on `nic` and spawns this node's fetch
   /// server. Selection thresholds and the offload timeout come from the
-  /// node's coll::Params; `nic_params.radix` must equal
-  /// coll::Params::offload_radix (asserted).
+  /// node's coll::Params, and so does the firmware tree's radix
+  /// (coll::Params::offload_radix).
   NicCollPort(Node& node, atm::Nic& nic, atm::NicCollParams nic_params);
 
   // --- coll::OffloadPort ---

@@ -1,8 +1,13 @@
+// The switch-chain fabric. Suites are named after the testbed a case
+// models: AtmLan (one site), AtmWan (two), AtmMultiWan (three or more).
 #include "atm/network.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 namespace ncs::atm {
@@ -23,54 +28,159 @@ Bytes tagged_payload(int tag, std::size_t n = 100) {
   return b;
 }
 
-template <typename Fabric>
-std::vector<Delivery> wire_up(sim::Engine& engine, Fabric& fab,
-                              std::vector<Delivery>* sink) {
+/// Records every delivery; the source host is decoded under the VCI base
+/// of the plane the traffic rides.
+void wire_up(sim::Engine& engine, AtmFabric& fab, std::vector<Delivery>* sink,
+             std::uint16_t vci_base = kVciBase) {
   for (int h = 0; h < fab.n_hosts(); ++h) {
-    fab.nic(h).set_rx_handler([&engine, sink, h](VcId vc, Bytes data, bool) {
-      sink->push_back({h, src_of(vc), std::move(data), engine.now()});
+    fab.nic(h).set_rx_handler([&engine, sink, h, vci_base](VcId vc, Bytes data, bool) {
+      sink->push_back({h, vc.vci - vci_base, std::move(data), engine.now()});
     });
   }
-  return {};
 }
 
 TEST(VcNumbering, RoundTrip) {
   for (int dst : {0, 1, 7, 100}) EXPECT_EQ(src_of(vc_to(dst)), dst);
 }
 
-TEST(AtmLan, AnyToAnyDelivery) {
-  sim::Engine engine;
-  LanConfig cfg;
-  cfg.n_hosts = 4;
-  cfg.nic.tx_buffers = 8;  // room for the 3 back-to-back submits per host
-  AtmLan lan(engine, cfg);
-  std::vector<Delivery> rx;
-  wire_up(engine, lan, &rx);
+// --- every plane, every chain length, full mesh and sparse ----------------
 
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j)
-      if (i != j) lan.nic(i).submit_tx(vc_to(j), tagged_payload(i * 10 + j), true);
+struct MeshCase {
+  int sites;
+  bool sparse;
+  std::size_t plane;  // index into kPvcPlanes
+};
+
+std::string case_name(const MeshCase& c) {
+  return "sites" + std::to_string(c.sites) + (c.sparse ? "_sparse_" : "_full_") +
+         kPvcPlanes[c.plane].name;
+}
+
+void PrintTo(const MeshCase& c, std::ostream* os) { *os << case_name(c); }
+
+class FabricMesh : public ::testing::TestWithParam<MeshCase> {};
+
+TEST_P(FabricMesh, AllPairsDeliverExactlyOnce) {
+  constexpr int kHosts = 9;
+  const MeshCase c = GetParam();
+  const PvcPlane& plane = kPvcPlanes[c.plane];
+  sim::Engine engine;
+  FabricConfig cfg;
+  cfg.n_hosts = kHosts;
+  cfg.n_sites = c.sites;
+  cfg.nic.tx_buffers = 16;  // room for the 8 back-to-back submits per host
+  // Sparse: each host reaches its ring successor and the host four ahead,
+  // which includes multi-hop paths in both directions on three sites.
+  const auto named = [](int i, int j) {
+    const int ahead = (j - i + kHosts) % kHosts;
+    return ahead == 1 || ahead == 4;
+  };
+  if (c.sparse)
+    for (int i = 0; i < kHosts; ++i)
+      for (int j = 0; j < kHosts; ++j)
+        if (named(i, j)) cfg.provision.emplace_back(i, j);
+  AtmFabric fab(engine, cfg);
+  std::vector<Delivery> rx;
+  wire_up(engine, fab, &rx, plane.vci_base);
+
+  const auto vc = [&](int dst) {
+    return VcId{0, static_cast<std::uint16_t>(plane.vci_base + dst)};
+  };
+  int sent = 0;
+  for (int i = 0; i < kHosts; ++i)
+    for (int j = 0; j < kHosts; ++j)
+      if (i != j && (!c.sparse || named(i, j))) {
+        fab.nic(i).submit_tx(vc(j), tagged_payload(i * kHosts + j), true);
+        ++sent;
+      }
   engine.run();
 
-  ASSERT_EQ(rx.size(), 12u);
+  ASSERT_EQ(rx.size(), static_cast<std::size_t>(sent));
   std::map<std::pair<int, int>, int> seen;
+  std::map<int, TimePoint> earliest;  // by backbone hops crossed
+  const Duration prop = cfg.backbone.propagation;
   for (const auto& d : rx) {
     ++seen[{d.from, d.to}];
-    EXPECT_EQ(d.data, tagged_payload(d.from * 10 + d.to));
+    EXPECT_EQ(d.data, tagged_payload(d.from * kHosts + d.to));
+    const int hops = std::abs(fab.site_of(d.from) - fab.site_of(d.to));
+    EXPECT_GE(d.at - TimePoint::origin(), prop * hops) << d.from << "->" << d.to;
+    if (!earliest.contains(hops) || d.at < earliest[hops]) earliest[hops] = d.at;
   }
-  EXPECT_EQ(seen.size(), 12u);
+  for (const auto& [k, v] : seen) EXPECT_EQ(v, 1) << k.first << "->" << k.second;
+  // Each hop adds one backbone propagation, not more.
+  EXPECT_EQ(static_cast<int>(earliest.size()), c.sites);
+  for (const auto& [hops, at] : earliest)
+    EXPECT_NEAR((at - earliest[0]).ms(), prop.ms() * hops, prop.ms() * 0.25) << hops;
+
+  // A sparse fabric routes nothing it was not told to.
+  if (c.sparse) {
+    Switch& sw = fab.site_switch(fab.site_of(0));
+    const auto unroutable = sw.stats().unroutable;
+    fab.nic(0).submit_tx(vc(2), tagged_payload(2), true);
+    engine.run();
+    EXPECT_EQ(sw.stats().unroutable, unroutable + 1);
+    EXPECT_EQ(rx.size(), static_cast<std::size_t>(sent));
+  }
+}
+
+std::vector<MeshCase> mesh_cases() {
+  std::vector<MeshCase> cases;
+  for (const int sites : {1, 2, 3})
+    for (const bool sparse : {false, true})
+      for (std::size_t plane = 0; plane < kPvcPlanes.size(); ++plane)
+        cases.push_back({sites, sparse, plane});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Chains, FabricMesh, ::testing::ValuesIn(mesh_cases()),
+                         [](const auto& p) { return case_name(p.param); });
+
+// --- backbone label capacity ------------------------------------------------
+
+TEST(AtmWan, FullMeshAt512HostsFillsEveryBackboneLabel) {
+  // 256 x 256 cross-site pairs per direction: exactly the 65,536 labels a
+  // hop holds per plane.
+  sim::Engine engine;
+  FabricConfig cfg;
+  cfg.n_hosts = 512;
+  cfg.n_sites = 2;
+  AtmFabric wan(engine, cfg);
+  const int full = 65536 * static_cast<int>(kPvcPlanes.size());
+  EXPECT_EQ(wan.labels_used(0, /*rightward=*/true), full);
+  EXPECT_EQ(wan.labels_used(0, /*rightward=*/false), full);
+
+  std::vector<Delivery> rx;
+  wire_up(engine, wan, &rx);
+  // The last data-plane pair in each direction took label 65535.
+  wan.nic(255).submit_tx(vc_to(511), tagged_payload(1), true);
+  wan.nic(511).submit_tx(vc_to(255), tagged_payload(2), true);
+  engine.run();
+  ASSERT_EQ(rx.size(), 2u);
+}
+
+TEST(AtmWanDeathTest, FullMeshAt513HostsStopsAtTheLabelCapacity) {
+  // 257 x 256 pairs cross hop 0 rightward: the data plane runs out first.
+  FabricConfig cfg;
+  cfg.n_hosts = 513;
+  cfg.n_sites = 2;
+  EXPECT_DEATH(
+      {
+        sim::Engine engine;
+        AtmFabric wan(engine, cfg);
+      },
+      "backbone hop 0 rightward is out of data-plane labels");
 }
 
 TEST(AtmLan, DedicatedLinksDoNotContend) {
   // Two disjoint pairs transfer simultaneously; each takes the same time
   // as it would alone — unlike shared Ethernet.
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 4;
 
   const auto solo = [&] {
     sim::Engine e2;
-    AtmLan lan(e2, cfg);
+    AtmFabric lan(e2, cfg);
     std::vector<Delivery> rx;
     wire_up(e2, lan, &rx);
     lan.nic(0).submit_tx(vc_to(1), tagged_payload(0, 4000), true);
@@ -78,7 +188,7 @@ TEST(AtmLan, DedicatedLinksDoNotContend) {
     return rx.at(0).at - TimePoint::origin();
   }();
 
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   lan.nic(0).submit_tx(vc_to(1), tagged_payload(0, 4000), true);
@@ -91,9 +201,9 @@ TEST(AtmLan, DedicatedLinksDoNotContend) {
 
 TEST(AtmLan, SelfSendLoopsThroughSwitch) {
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 2;
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   lan.nic(0).submit_tx(vc_to(0), tagged_payload(5), true);
@@ -105,9 +215,10 @@ TEST(AtmLan, SelfSendLoopsThroughSwitch) {
 
 TEST(AtmWan, CrossSiteDeliveryPaysBackbonePropagation) {
   sim::Engine engine;
-  WanConfig cfg;
+  FabricConfig cfg;
+  cfg.n_sites = 2;
   cfg.n_hosts = 4;  // hosts 0,1 at site 0; 2,3 at site 1
-  AtmWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -124,77 +235,23 @@ TEST(AtmWan, CrossSiteDeliveryPaysBackbonePropagation) {
 
 TEST(AtmWan, SiteAssignment) {
   sim::Engine engine;
-  WanConfig cfg;
+  FabricConfig cfg;
+  cfg.n_sites = 2;
   cfg.n_hosts = 5;
-  AtmWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   EXPECT_EQ(wan.site_of(0), 0);
   EXPECT_EQ(wan.site_of(2), 0);  // ceil(5/2)=3 hosts at site 0
   EXPECT_EQ(wan.site_of(3), 1);
   EXPECT_EQ(wan.site_of(4), 1);
 }
 
-TEST(AtmWan, AllPairsDeliverExactlyOnce) {
-  sim::Engine engine;
-  WanConfig cfg;
-  cfg.n_hosts = 6;
-  cfg.nic.tx_buffers = 8;  // room for the 5 back-to-back submits per host
-  AtmWan wan(engine, cfg);
-  std::vector<Delivery> rx;
-  wire_up(engine, wan, &rx);
-
-  int sent = 0;
-  for (int i = 0; i < 6; ++i)
-    for (int j = 0; j < 6; ++j)
-      if (i != j) {
-        wan.nic(i).submit_tx(vc_to(j), tagged_payload(i * 6 + j), true);
-        ++sent;
-      }
-  engine.run();
-
-  ASSERT_EQ(rx.size(), static_cast<std::size_t>(sent));
-  std::map<std::pair<int, int>, int> seen;
-  for (const auto& d : rx) {
-    ++seen[{d.from, d.to}];
-    EXPECT_EQ(d.data, tagged_payload(d.from * 6 + d.to));
-  }
-  for (const auto& [k, v] : seen) EXPECT_EQ(v, 1) << k.first << "->" << k.second;
-}
-
-TEST(AtmMultiWan, AllPairsDeliverExactlyOnceAcrossTheChain) {
-  sim::Engine engine;
-  MultiWanConfig cfg;
-  cfg.n_hosts = 9;  // 3 hosts per site, 3 sites, full PVC mesh
-  cfg.n_sites = 3;
-  cfg.nic.tx_buffers = 16;  // room for the 8 back-to-back submits per host
-  AtmMultiWan wan(engine, cfg);
-  std::vector<Delivery> rx;
-  wire_up(engine, wan, &rx);
-
-  int sent = 0;
-  for (int i = 0; i < 9; ++i)
-    for (int j = 0; j < 9; ++j)
-      if (i != j) {
-        wan.nic(i).submit_tx(vc_to(j), tagged_payload(i * 9 + j), true);
-        ++sent;
-      }
-  engine.run();
-
-  ASSERT_EQ(rx.size(), static_cast<std::size_t>(sent));
-  std::map<std::pair<int, int>, int> seen;
-  for (const auto& d : rx) {
-    ++seen[{d.from, d.to}];
-    EXPECT_EQ(d.data, tagged_payload(d.from * 9 + d.to));
-  }
-  for (const auto& [k, v] : seen) EXPECT_EQ(v, 1) << k.first << "->" << k.second;
-}
-
 TEST(AtmMultiWan, HostsSplitIntoContiguousNearEqualSites) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 7;
   cfg.n_sites = 3;
   cfg.provision = {{0, 1}};  // keep construction cheap
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   // 7 hosts over 3 sites: 3 + 2 + 2.
   EXPECT_EQ(wan.site_of(0), 0);
   EXPECT_EQ(wan.site_of(2), 0);
@@ -206,11 +263,11 @@ TEST(AtmMultiWan, HostsSplitIntoContiguousNearEqualSites) {
 
 TEST(AtmMultiWan, EachHopAddsBackbonePropagation) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 4;  // one host per site
   cfg.n_sites = 4;
   cfg.provision = {{0, 1}, {0, 3}};
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -227,7 +284,7 @@ TEST(AtmMultiWan, EachHopAddsBackbonePropagation) {
 
 TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 64;
   cfg.n_sites = 4;  // 16 hosts per site
   // Ring traffic matrix: i -> (i+1) % n, both directions of each hop pair.
@@ -236,7 +293,7 @@ TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
     cfg.provision.emplace_back((i + 1) % cfg.n_hosts, i);
   }
   cfg.provision.emplace_back(0, 1);  // duplicates are tolerated
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
 
   // Only the ring crossings consume hop labels: of 128 directed pairs, the
   // vast majority are intra-site. Hop 0 carries 15->16 rightward, 16->15
@@ -259,11 +316,11 @@ TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
 
 TEST(AtmLan, DetailedModeDeliversIdenticalData) {
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 2;
   cfg.nic.detailed_cells = true;
   cfg.nic.io_buffer_size = 8192;
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   const Bytes data = tagged_payload(3, 5000);

@@ -12,6 +12,7 @@
 #include "atm/network.hpp"
 #include "coll/algorithms.hpp"
 #include "coll/offload.hpp"
+#include "coll/select.hpp"
 
 namespace ncs::atm {
 namespace {
@@ -28,9 +29,9 @@ struct NicCollFixture : ::testing::Test {
   static constexpr int kHosts = 5;
 
   NicCollFixture() {
-    LanConfig lc;
+    FabricConfig lc;
     lc.n_hosts = kHosts;
-    lan = std::make_unique<AtmLan>(engine, lc);
+    lan = std::make_unique<AtmFabric>(engine, lc);
     for (int h = 0; h < kHosts; ++h) {
       engines.push_back(std::make_unique<NicCollEngine>(
           engine, lan->nic(h), NicCollParams{}, "nic-coll" + std::to_string(h)));
@@ -41,7 +42,8 @@ struct NicCollFixture : ::testing::Test {
   }
 
   void program_all() {
-    for (int h = 0; h < kHosts; ++h) engines[static_cast<std::size_t>(h)]->program(h, kHosts);
+    for (int h = 0; h < kHosts; ++h)
+      engines[static_cast<std::size_t>(h)]->program(h, kHosts, coll::Params{}.offload_radix);
   }
 
   NicCollEngine& eng(int h) { return *engines[static_cast<std::size_t>(h)]; }
@@ -60,7 +62,7 @@ struct NicCollFixture : ::testing::Test {
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmLan> lan;
+  std::unique_ptr<AtmFabric> lan;
   std::vector<std::unique_ptr<NicCollEngine>> engines;
   std::vector<Completion> completions;
 };
@@ -96,7 +98,7 @@ TEST_F(NicCollFixture, AllreduceMatchesTheHostTreeFoldBitForBit) {
   // coll::tree_fold replays the firmware's fold order (own, then children
   // ascending) — the fallback path's bit-identity rests on this equality.
   const Bytes expected =
-      coll::pack_doubles(coll::tree_fold(contribs, kHosts, NicCollParams{}.radix));
+      coll::pack_doubles(coll::tree_fold(contribs, kHosts, coll::Params{}.offload_radix));
   ASSERT_EQ(completions.size(), static_cast<std::size_t>(kHosts));
   for (const auto& c : completions) EXPECT_EQ(c.result, expected) << "host " << c.host;
   EXPECT_EQ(open_contexts(), 0u);
@@ -157,7 +159,7 @@ TEST_F(NicCollFixture, MidBarrierSwitchFaultThenRecoveryCompletesNextOp) {
   program_all();
   // The switch port of host 2 dies just as the barrier starts: host 2's
   // contribution is dropped at the fabric.
-  lan->fabric().fault().set_port_down(2, true);
+  lan->site_switch(0).fault().set_port_down(2, true);
   for (int h = 0; h < kHosts; ++h) eng(h).contribute(0, CollKind::barrier, {});
   engine.run();
   EXPECT_TRUE(completions.empty());
@@ -166,7 +168,7 @@ TEST_F(NicCollFixture, MidBarrierSwitchFaultThenRecoveryCompletesNextOp) {
     eng(h).abort_op(0);
     eng(h).teardown();
   }
-  lan->fabric().fault().set_port_down(2, false);
+  lan->site_switch(0).fault().set_port_down(2, false);
 
   program_all();
   for (int h = 0; h < kHosts; ++h) eng(h).contribute(1, CollKind::barrier, {});

@@ -9,14 +9,14 @@ using namespace ncs::literals;
 
 struct SignalingFixture : ::testing::Test {
   SignalingFixture() {
-    LanConfig lc;
+    FabricConfig lc;
     lc.n_hosts = 3;
-    lan = std::make_unique<AtmLan>(engine, lc);
+    lan = std::make_unique<AtmFabric>(engine, lc);
     controller = std::make_unique<CallController>(engine, *lan);
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmLan> lan;
+  std::unique_ptr<AtmFabric> lan;
   std::unique_ptr<CallController> controller;
 };
 
@@ -124,10 +124,10 @@ TEST_F(SignalingFixture, ReleaseTearsDownRoutes) {
   EXPECT_FALSE(controller->agent(1).accepted_vc_from(0).has_value());
 
   // Traffic on the released label is now unroutable.
-  const auto unroutable_before = lan->fabric().stats().unroutable;
+  const auto unroutable_before = lan->site_switch(0).stats().unroutable;
   lan->nic(0).submit_tx(*caller_vc, to_bytes("ghost"), true);
   engine.run();
-  EXPECT_EQ(lan->fabric().stats().unroutable, unroutable_before + 1);
+  EXPECT_EQ(lan->site_switch(0).stats().unroutable, unroutable_before + 1);
 }
 
 TEST_F(SignalingFixture, ConcurrentCallsGetDistinctLabels) {
@@ -204,11 +204,11 @@ TEST_F(SignalingFixture, ReleaseMidTransferDropsTheTailWithoutCrashing) {
   EXPECT_GT(delivered, 0);
   EXPECT_LT(delivered, 8);
   EXPECT_EQ(controller->stats().active_calls, 0u);
-  EXPECT_GT(lan->fabric().stats().unroutable, 0u);
+  EXPECT_GT(lan->site_switch(0).stats().unroutable, 0u);
 }
 
 TEST_F(SignalingFixture, SetupTowardFailedPortIsRejectedNotHung) {
-  lan->fabric().fault().set_port_down(2, true);
+  lan->site_switch(0).fault().set_port_down(2, true);
   controller->agent(2);
   bool answered = false;
   Status status;
@@ -230,14 +230,14 @@ TEST_F(SignalingFixture, PortFailureReleasesCallsAndRecoveredPortCarriesNewSvc) 
   engine.run();
   ASSERT_TRUE(first.has_value());
 
-  lan->fabric().fault().set_port_down(1, true);
+  lan->site_switch(0).fault().set_port_down(1, true);
   engine.run();
   EXPECT_EQ(controller->stats().faulted_releases, 1u);
   EXPECT_EQ(controller->stats().active_calls, 0u);
 
   // After recovery a fresh SETUP succeeds with a new label, and the
   // re-established circuit carries data end to end.
-  lan->fabric().fault().set_port_down(1, false);
+  lan->site_switch(0).fault().set_port_down(1, false);
   std::optional<VcId> second;
   controller->agent(0).open_call(1, [&](Result<VcId> r) { second = r.value(); });
   engine.run();
@@ -253,10 +253,31 @@ TEST_F(SignalingFixture, PortFailureReleasesCallsAndRecoveredPortCarriesNewSvc) 
   EXPECT_EQ(got, to_bytes("after recovery"));
 
   // The failed-over label stayed dead.
-  const auto unroutable_before = lan->fabric().stats().unroutable;
+  const auto unroutable_before = lan->site_switch(0).stats().unroutable;
   lan->nic(0).submit_tx(*first, to_bytes("stale"), true);
   engine.run();
-  EXPECT_EQ(lan->fabric().stats().unroutable, unroutable_before + 1);
+  EXPECT_EQ(lan->site_switch(0).stats().unroutable, unroutable_before + 1);
+}
+
+TEST_F(SignalingFixture, HalfOpenCallToAFailingPortIsRejectedNotHung) {
+  // The callee's port dies after the SETUP reached the switch: its CONNECT
+  // can never arrive, so the controller must answer the waiting caller.
+  controller->agent(2);
+  bool answered = false;
+  Status status;
+  controller->agent(0).open_call(2, [&](Result<VcId> r) {
+    answered = true;
+    status = r.status();
+  });
+  while (controller->stats().setups == 0 && engine.step()) {
+  }
+  ASSERT_EQ(controller->stats().setups, 1u);
+  lan->site_switch(0).fault().set_port_down(2, true);
+  engine.run();
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
 }
 
 // --- dynamic-label space vs. the reserved planes ---------------------------
@@ -295,15 +316,16 @@ TEST_F(SignalingDeathTest, ExhaustedDynamicVciDiesInsteadOfSplicingIntoCollPlane
 
 struct WanSignalingFixture : ::testing::Test {
   WanSignalingFixture() {
-    WanConfig wc;
+    FabricConfig wc;
     wc.n_hosts = 4;  // 0,1 at site 0; 2,3 at site 1
-    wan = std::make_unique<AtmWan>(engine, wc);
-    controller = std::make_unique<WanCallController>(engine, *wan);
+    wc.n_sites = 2;
+    wan = std::make_unique<AtmFabric>(engine, wc);
+    controller = std::make_unique<CallController>(engine, *wan);
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmWan> wan;
-  std::unique_ptr<WanCallController> controller;
+  std::unique_ptr<AtmFabric> wan;
+  std::unique_ptr<CallController> controller;
 };
 
 TEST_F(WanSignalingFixture, SameSiteCallWorks) {
@@ -391,6 +413,56 @@ TEST_F(WanSignalingFixture, CrossSiteRejectPropagates) {
   EXPECT_EQ(controller->stats().active_calls, 0u);
 }
 
+TEST_F(WanSignalingFixture, CrossSiteHalfOpenCallToAFailingPortIsRejectedNotHung) {
+  // The SETUP reached host 0's switch at site 0, then host 3's port at
+  // site 1 dies while the offer crosses the backbone.
+  controller->agent(3);
+  bool answered = false;
+  Status status;
+  controller->agent(0).open_call(3, [&](Result<VcId> r) {
+    answered = true;
+    status = r.status();
+  });
+  while (controller->stats().setups == 0 && engine.step()) {
+  }
+  ASSERT_EQ(controller->stats().setups, 1u);
+  wan->site_switch(1).fault().set_port_down(wan->local_port(3), true);
+  engine.run();
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+
+  // After recovery the same pair connects.
+  wan->site_switch(1).fault().set_port_down(wan->local_port(3), false);
+  std::optional<VcId> vc;
+  controller->agent(0).open_call(3, [&](Result<VcId> r) { vc = r.value(); });
+  engine.run();
+  EXPECT_TRUE(vc.has_value());
+}
+
+TEST_F(WanSignalingFixture, CrossSiteConnectLostOnTheBackboneIsRejectedNotHung) {
+  // The callee accepted and the controller installed the routes, but the
+  // backbone dies while the CONNECT is crossing it toward the caller.
+  controller->agent(3);
+  bool answered = false;
+  Status status;
+  controller->agent(0).open_call(3, [&](Result<VcId> r) {
+    answered = true;
+    status = r.status();
+  });
+  while (controller->stats().connects == 0 && engine.step()) {
+  }
+  ASSERT_EQ(controller->stats().connects, 1u);
+  wan->site_switch(0).fault().set_port_down(wan->port_toward(0, 1), true);
+  engine.run();
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+  EXPECT_FALSE(controller->agent(3).accepted_vc_from(0).has_value());
+}
+
 TEST_F(WanSignalingFixture, BackbonePortFailureReleasesAndCallReestablishes) {
   std::optional<VcId> vc;
   controller->agent(3);
@@ -398,7 +470,7 @@ TEST_F(WanSignalingFixture, BackbonePortFailureReleasesAndCallReestablishes) {
   engine.run();
   ASSERT_TRUE(vc.has_value());
 
-  wan->site_switch(1).fault().set_port_down(wan->backbone_port(1), true);
+  wan->site_switch(1).fault().set_port_down(wan->port_toward(1, 0), true);
   engine.run();
   EXPECT_GE(controller->stats().faulted_releases, 1u);
   EXPECT_EQ(controller->stats().active_calls, 0u);
@@ -411,7 +483,7 @@ TEST_F(WanSignalingFixture, BackbonePortFailureReleasesAndCallReestablishes) {
   EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
 
   // After recovery the call comes back up and carries data again.
-  wan->site_switch(1).fault().set_port_down(wan->backbone_port(1), false);
+  wan->site_switch(1).fault().set_port_down(wan->port_toward(1, 0), false);
   std::optional<VcId> vc2;
   controller->agent(0).open_call(3, [&](Result<VcId> r) { vc2 = r.value(); });
   engine.run();
@@ -424,6 +496,40 @@ TEST_F(WanSignalingFixture, BackbonePortFailureReleasesAndCallReestablishes) {
   wan->nic(0).submit_tx(*vc2, to_bytes("reestablished"), true);
   engine.run();
   EXPECT_EQ(got, to_bytes("reestablished"));
+}
+
+TEST(ChainSignaling, CallAcrossThreeSitesTransitsTheMiddleSwitch) {
+  sim::Engine engine;
+  FabricConfig fc;
+  fc.n_hosts = 3;  // one host per site
+  fc.n_sites = 3;
+  AtmFabric chain(engine, fc);
+  CallController controller(engine, chain);
+
+  std::optional<VcId> vc;
+  controller.agent(2);
+  controller.agent(0).open_call(2, [&](Result<VcId> r) { vc = r.value(); });
+  engine.run();
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_EQ(controller.stats().backbone_hops, 4u);  // offer out, connect back
+
+  Bytes got;
+  chain.nic(2).set_rx_handler([&](VcId dvc, Bytes d, bool) {
+    EXPECT_EQ(dvc, *vc);
+    got = std::move(d);
+  });
+  chain.nic(0).submit_tx(*vc, to_bytes("two hops"), true);
+  engine.run();
+  EXPECT_EQ(got, to_bytes("two hops"));
+
+  // Release clears the routes on every switch of the path.
+  controller.agent(0).release_call(*vc);
+  engine.run();
+  EXPECT_EQ(controller.stats().active_calls, 0u);
+  EXPECT_FALSE(controller.agent(2).accepted_vc_from(0).has_value());
+  chain.nic(0).submit_tx(*vc, to_bytes("ghost"), true);
+  engine.run();
+  EXPECT_EQ(chain.site_switch(0).stats().unroutable, 1u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ncs::cluster {
 namespace {
 
@@ -15,6 +17,10 @@ struct DriverCase {
   NetworkKind network;
   NcsTier tier;
 };
+
+// Print the case by name: gtest's default dumps the struct's bytes, and the
+// name pointer and padding make that differ from build to build.
+void PrintTo(const DriverCase& c, std::ostream* os) { *os << c.name; }
 
 ClusterConfig preset(NetworkKind net) {
   switch (net) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,10 @@ struct TierCase {
   const char* name;
   bool hsm;
 };
+
+// Print the case by name: gtest's default dumps the struct's bytes, and the
+// name pointer and padding make that differ from build to build.
+void PrintTo(const TierCase& c, std::ostream* os) { *os << c.name; }
 
 class NcsTier : public ::testing::TestWithParam<TierCase> {};
 

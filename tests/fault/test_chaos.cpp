@@ -122,6 +122,21 @@ TEST(ChaosEndToEnd, FaultedRunsAreBitIdenticalAcrossRepeats) {
   EXPECT_EQ(a.retransmits, b.retransmits);
 }
 
+TEST(ChaosEndToEnd, SvcPortFlapAtAnyMomentOfCallSetupNeverHangsTheRun) {
+  // Sweep a 2 ms outage of the callee's switch port across the first call
+  // setup: before the SETUP (rejected at once), while the call is half-open
+  // (answered with REJECT), and after CONNECT (released, data retransmitted).
+  // Every case must retry its way to the full stream.
+  for (int begin_us = 0; begin_us <= 400; begin_us += 10) {
+    ClusterConfig cfg = sun_atm_lan(2);
+    cfg.hsm_use_svc = true;
+    cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
+    cfg.faults.port_down("lan-switch", 1, TimePoint::origin() + Duration::microseconds(begin_us),
+                         2_ms);
+    EXPECT_EQ(run_stream(cfg, 3).order, iota(3)) << "outage at " << begin_us << " us";
+  }
+}
+
 TEST(ChaosEndToEnd, HostPauseStallsComputeButNotTheRun) {
   ClusterConfig clean = nynet_wan(2);
   const StreamOutcome base = run_stream(clean, 5);
