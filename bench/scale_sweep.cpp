@@ -15,16 +15,24 @@
 //
 //   ring   Full-stack messages/sec: P NCS/HSM processes on the multi-site
 //          SONET WAN (chain of LAN stars), nearest-neighbour ring traffic
-//          over sparsely provisioned PVCs, up to P = 1024.
+//          over sparsely provisioned PVCs, up to P = 1024 (P = 4096 in the
+//          full sweep). Set-up (cluster construction + init_ncs_hsm: wall
+//          seconds and RSS growth) is reported apart from the steady-state
+//          rates; the full sweep fails if init at P = 4096 grows RSS by
+//          200 MB or more. P = 10240 stays out: its 40,960 fiber stacks
+//          need 81,920 mappings, above the usual vm.max_map_count (65,530).
 //
 // Wall-clock rates (events_per_sec, msgs_per_sec, speedup) are the
 // higher-is-better metric class in tools/bench_diff.py; simulated-time
 // fields stay deterministic and diff exactly. `--fast` shrinks the event
 // and message budgets for CI; `--json[=path]` emits ncs-bench-v1.
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -43,6 +51,17 @@ namespace {
 
 double wall_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Resident set size of this process in MB (Linux /proc), after handing
+/// freed heap back to the kernel so a later delta counts fresh memory
+/// instead of reusing what an earlier point freed.
+double rss_mb() {
+  ::malloc_trim(0);
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.starts_with("VmRSS:")) return std::stod(line.substr(6)) / 1024.0;
+  return 0;
 }
 
 struct CorePoint {
@@ -117,6 +136,8 @@ CorePoint core_stress(sim::Engine::QueueKind kind, int n_hosts,
 }
 
 struct RingPoint {
+  double setup_sec = 0;    // Cluster construction + init_ncs_hsm, wall clock
+  double init_rss_mb = 0;  // RSS growth over the same span
   double wall_msgs_per_sec = 0;
   double wall_events_per_sec = 0;
   double sim_elapsed_sec = 0;
@@ -133,8 +154,13 @@ RingPoint ring_throughput(int n_procs, int msgs_per_host) {
     cfg.wan_provision.emplace_back((i + 1) % n_procs, i);  // ack/credit path
   }
 
+  RingPoint p;
+  const double rss0 = rss_mb();
+  const auto setup0 = std::chrono::steady_clock::now();
   Cluster c(cfg);
   c.init_ncs_hsm();
+  p.setup_sec = wall_since(setup0);
+  p.init_rss_mb = rss_mb() - rss0;
   const Bytes payload(1024, std::byte{0x5A});
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -150,7 +176,6 @@ RingPoint ring_throughput(int n_procs, int msgs_per_host) {
   });
   const double wall = wall_since(t0);
 
-  RingPoint p;
   p.events = c.engine().processed();
   p.sim_elapsed_sec = (c.engine().now() - TimePoint::origin()).sec();
   const double msgs = static_cast<double>(n_procs) * msgs_per_host;
@@ -245,6 +270,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--fast") == 0) fast = true;
 
   const std::vector<int> sweep = {4, 16, 64, 256, 1024};
+  // Set-up memory gate of the full ring sweep (see the header).
+  constexpr int kInitGateProcs = 4096;
+  constexpr double kInitGateMb = 200;
   const std::uint64_t core_events = fast ? 200'000 : 800'000;
 
   std::printf("Event-core scale sweep (%s budgets)\n\n", fast ? "fast" : "full");
@@ -282,14 +310,18 @@ int main(int argc, char** argv) {
   const bool inline_only = census.heap_constructions == 0;
 
   std::printf("\nring: NCS/HSM neighbour ring on the multi-site WAN chain\n");
-  std::printf("%6s %6s %14s %16s %14s\n", "P", "msgs", "sim msgs/s", "wall msgs/s",
-              "wall ev/s");
-  for (const int p : sweep) {
+  std::printf("%6s %6s %9s %11s %14s %16s %14s\n", "P", "msgs", "setup-s", "init-RSS-MB",
+              "sim msgs/s", "wall msgs/s", "wall ev/s");
+  std::vector<int> ring_sweep = sweep;
+  if (!fast) ring_sweep.push_back(kInitGateProcs);
+  bool init_rss_ok = true;
+  for (const int p : ring_sweep) {
     const int msgs = std::max(2, (fast ? 2048 : 16384) / p);
     const RingPoint r = ring_throughput(p, msgs);
     const double sim_rate = static_cast<double>(p) * msgs / r.sim_elapsed_sec;
-    std::printf("%6d %6d %14.0f %16.0f %14.0f\n", p, msgs, sim_rate, r.wall_msgs_per_sec,
-                r.wall_events_per_sec);
+    if (p == kInitGateProcs && r.init_rss_mb >= kInitGateMb) init_rss_ok = false;
+    std::printf("%6d %6d %9.3f %11.1f %14.0f %16.0f %14.0f\n", p, msgs, r.setup_sec,
+                r.init_rss_mb, sim_rate, r.wall_msgs_per_sec, r.wall_events_per_sec);
     report.row();
     report.set("stage", std::string("ring"));
     report.set("procs", p);
@@ -298,6 +330,13 @@ int main(int argc, char** argv) {
     report.set("sim_elapsed_sec", r.sim_elapsed_sec);
     report.set("msgs_per_sec", r.wall_msgs_per_sec);
     report.set("events_per_sec", r.wall_events_per_sec);
+    // Host set-up cost is wall clock and allocator state, so it cannot be
+    // diffed at the exact tolerance of the --fast rows CI compares against
+    // a recorded baseline; only the full sweep's JSON carries it.
+    if (!fast) {
+      report.set("setup_sec", r.setup_sec);
+      report.set("init_rss_mb", r.init_rss_mb);
+    }
   }
 
   // Telemetry stage (--telemetry): tail-latency series + SLO grades over
@@ -334,13 +373,17 @@ int main(int argc, char** argv) {
   const ArenaPoint arena = arena_census(fast ? 8 : 24);
   const bool arena_ok = arena.heap_allocs == 0 && arena.acquires > 0;
 
-  const bool all_ok = speedup_ok && inline_only && arena_ok && telemetry_ok;
+  const bool all_ok = speedup_ok && inline_only && arena_ok && telemetry_ok && init_rss_ok;
   std::printf("\ncalendar >= %.0fx std::map at P >= 256: %s\n", gate, speedup_ok ? "yes" : "NO");
+  if (!fast)
+    std::printf("init_ncs_hsm at P = %d grows RSS under %.0f MB: %s\n", kInitGateProcs,
+                kInitGateMb, init_rss_ok ? "yes" : "NO");
   std::printf("event closures all inline (no heap): %s\n", inline_only ? "yes" : "NO");
   std::printf("cell trains pooled (warm run: %llu acquires, %llu heap allocs): %s\n",
               static_cast<unsigned long long>(arena.acquires),
               static_cast<unsigned long long>(arena.heap_allocs), arena_ok ? "yes" : "NO");
   report.summary("speedup_ok", speedup_ok);
+  if (!fast) report.summary("init_rss_ok", init_rss_ok);
   report.summary("event_fn_heap_constructions",
                  static_cast<std::int64_t>(census.heap_constructions));
   report.summary("cell_arena_acquires", static_cast<std::int64_t>(arena.acquires));

@@ -235,6 +235,14 @@ void Nic::accept(int /*port*/, Burst burst) {
                      engine_.now(), done - engine_.now());
   engine_.schedule_at(done, [this, vc = burst.vc, p = std::move(payload),
                              eom = burst.end_of_message]() mutable {
+    if (vc.vpi == 0) {
+      for (const VcRange& r : vc_ranges_) {
+        if (vc.vci >= r.lo && vc.vci < r.hi) {
+          r.handler(vc, std::move(p), eom);
+          return;
+        }
+      }
+    }
     if (const auto it = vc_handlers_.find(vc); it != vc_handlers_.end()) {
       it->second(vc, std::move(p), eom);
       return;

@@ -88,6 +88,15 @@ class Nic : public CellSink {
     vc_handlers_[vc] = std::move(handler);
   }
 
+  /// Host termination for the VPI-0 VCI range [lo, hi): chunks on these
+  /// VCs go to `handler` after the adapter->host DMA, ahead of the per-VC
+  /// and default handlers. One entry covers a whole PVC plane, so a plane
+  /// of P peers costs one handler, not P — the RMA engine terminates its
+  /// plane this way. Ranges are checked in the order added.
+  void add_vc_range_handler(std::uint16_t lo, std::uint16_t hi, RxHandler handler) {
+    if (lo < hi) vc_ranges_.push_back(VcRange{lo, hi, std::move(handler)});
+  }
+
   /// Firmware-resident termination for the VPI-0 VCI range [lo, hi):
   /// reassembled PDUs on these VCs are handed to `handler` in adapter
   /// (i960) time — no adapter->host DMA, no host upcall. This is how the
@@ -188,6 +197,12 @@ class Nic : public CellSink {
   std::uint16_t fw_lo_ = 0;
   std::uint16_t fw_hi_ = 0;  // empty range = no firmware termination
   RxHandler fw_handler_;
+  struct VcRange {
+    std::uint16_t lo;
+    std::uint16_t hi;
+    RxHandler handler;
+  };
+  std::vector<VcRange> vc_ranges_;
   std::map<VcId, RxHandler> vc_handlers_;
   obs::TraceLog* trace_ = nullptr;
   int tx_track_ = -1;

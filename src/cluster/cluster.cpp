@@ -26,6 +26,12 @@ std::string switch_prefix(const atm::AtmFabric& fabric, int site) {
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)), engine_(config_.queue) {
   NCS_ASSERT(config_.n_procs >= 1);
+  // Collective PVCs are labelled kCollVciBase + rank, right below the RMA
+  // plane; past this size a contribution's label lands in the RMA range.
+  NCS_ASSERT_MSG(!config_.ncs.coll.nic_offload ||
+                     config_.n_procs <= atm::kRmaVciBase - atm::kCollVciBase,
+                 "nic_offload: the collective PVC plane (VCI 38000 + rank) would overflow "
+                 "into the RMA plane (VCI 40000 +) past 2000 ranks");
 
   for (int r = 0; r < config_.n_procs; ++r) {
     mts::SchedulerParams sp;

@@ -13,11 +13,8 @@ const char* to_string(FlowControlKind k) {
   return "?";
 }
 
-FlowControl::FlowControl(mts::Scheduler& sched, FlowControlParams params, int n_procs)
-    : sched_(sched),
-      params_(params),
-      outstanding_(static_cast<std::size_t>(n_procs), 0),
-      window_waiters_(static_cast<std::size_t>(n_procs)) {
+FlowControl::FlowControl(mts::Scheduler& sched, FlowControlParams params)
+    : sched_(sched), params_(params) {
   NCS_ASSERT(params_.window >= 1);
   NCS_ASSERT(params_.rate_bytes_per_sec > 0);
 }
@@ -28,9 +25,9 @@ void FlowControl::before_send(const Message& msg) {
       return;
 
     case FlowControlKind::window: {
-      const auto dst = static_cast<std::size_t>(msg.to_process);
-      auto& out = outstanding_[dst];
-      auto& waiters = window_waiters_[dst];
+      Window& win = windows_[msg.to_process];
+      int& out = win.outstanding;
+      auto& waiters = win.waiters;
       const TimePoint started = sched_.engine().now();
       // A sender queues when the window is full — or when earlier senders
       // are already queued: admitting a newcomer past the queue would let
@@ -58,6 +55,7 @@ void FlowControl::before_send(const Message& msg) {
       if (prof_ != nullptr && stalled > Duration::zero())
         prof_->record(obs::Layer::fc_stall, stalled);
       ++out;
+      ++total_outstanding_;
       return;
     }
 
@@ -90,18 +88,23 @@ void FlowControl::before_send(const Message& msg) {
 
 void FlowControl::on_ack(int from_process) {
   if (params_.kind != FlowControlKind::window) return;
-  const auto src = static_cast<std::size_t>(from_process);
-  auto& out = outstanding_[src];
+  // An ack from a peer never sent to carries no credit (and creates no state).
+  Window* win = windows_.find(from_process);
+  if (win == nullptr) return;
+  int& out = win->outstanding;
   // Clamp instead of asserting: with retransmitting error control over a
   // lossy link, duplicate deliveries produce duplicate acks.
-  if (out > 0) --out;
+  if (out > 0) {
+    --out;
+    --total_outstanding_;
+  }
   // Wake only a thread stalled on *this* destination's window — credit for
   // process B is useless to a thread waiting on process A (it would
   // re-block, and B's waiter would sleep forever). The wakeup budget is
   // window - outstanding - already-signaled: a duplicate ack (clamped
   // above) frees no credit and must not wake a second waiter onto the one
   // credit, which would admit both and overfill the window.
-  auto& waiters = window_waiters_[src];
+  auto& waiters = win->waiters;
   int signaled = 0;
   for (const WindowWaiter& w : waiters)
     if (w.signaled) ++signaled;

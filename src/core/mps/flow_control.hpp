@@ -11,9 +11,10 @@
 // return via control acknowledgements handled by the receive thread.
 #pragma once
 
+#include <cstddef>
 #include <list>
-#include <vector>
 
+#include "common/peer_map.hpp"
 #include "core/mps/message.hpp"
 #include "core/mts/sync.hpp"
 #include "obs/metrics.hpp"
@@ -36,7 +37,7 @@ struct FlowControlParams {
 
 class FlowControl {
  public:
-  FlowControl(mts::Scheduler& sched, FlowControlParams params, int n_procs);
+  FlowControl(mts::Scheduler& sched, FlowControlParams params);
 
   /// Acknowledgement traffic is only generated when a policy consumes it.
   bool wants_acks() const { return params_.kind == FlowControlKind::window; }
@@ -57,18 +58,16 @@ class FlowControl {
   /// Unacknowledged in-window messages towards `dst` (0 unless the window
   /// policy is active). Exposed for tests and the bottleneck report.
   int outstanding(int dst) const {
-    return dst < static_cast<int>(outstanding_.size())
-               ? outstanding_[static_cast<std::size_t>(dst)]
-               : 0;
+    const Window* w = windows_.find(dst);
+    return w == nullptr ? 0 : w->outstanding;
   }
 
   /// Window occupancy summed over every destination — the telemetry
   /// queue-depth probe for this node's flow-control plane.
-  int total_outstanding() const {
-    int n = 0;
-    for (int o : outstanding_) n += o;
-    return n;
-  }
+  int total_outstanding() const { return total_outstanding_; }
+
+  /// Destinations holding window state (created on the first windowed send).
+  std::size_t peer_records() const { return windows_.size(); }
 
   /// Registers the policy's counters under `prefix` (e.g. "p0/mps/flow").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
@@ -89,9 +88,10 @@ class FlowControl {
   int trace_track_ = -1;
   obs::Profiler* prof_ = nullptr;
 
-  // window state. Waiters are kept per destination: windows are
-  // per-destination, so an ack from B must never wake (only) a thread
-  // stalled on A while B's waiter sleeps on.
+  // window state, created per destination on its first windowed send.
+  // Waiters are kept per destination: windows are per-destination, so an
+  // ack from B must never wake (only) a thread stalled on A while B's
+  // waiter sleeps on.
   //
   // Each stalled sender enqueues exactly ONE entry for the whole stall and
   // erases it itself on admission (std::list: stable references, O(1)
@@ -104,8 +104,12 @@ class FlowControl {
     mts::Thread* thread;
     bool signaled = false;
   };
-  std::vector<int> outstanding_;
-  std::vector<std::list<WindowWaiter>> window_waiters_;
+  struct Window {
+    int outstanding = 0;
+    std::list<WindowWaiter> waiters;
+  };
+  PeerMap<Window> windows_;
+  int total_outstanding_ = 0;  // sum of every Window::outstanding
 
   // rate state (token-bucket horizon)
   TimePoint next_free_;

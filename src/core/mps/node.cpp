@@ -82,9 +82,8 @@ Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transpor
       submit_mutex_(host),
       send_queue_(host),
       retx_queue_(host),
-      fc_(host, options.flow, n_procs),
-      ec_(host.engine(), options.error, [this](Message m) { retx_queue_.push(std::move(m)); }),
-      next_seq_(static_cast<std::size_t>(n_procs), 0) {
+      fc_(host, options.flow),
+      ec_(host.engine(), options.error, [this](Message m) { retx_queue_.push(std::move(m)); }) {
   NCS_ASSERT(transport_ != nullptr);
   NCS_ASSERT(rank >= 0 && rank < n_procs);
 
@@ -92,7 +91,7 @@ Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transpor
   coll_ = std::make_unique<coll::Engine>(*coll_fabric_, options_.coll);
 
   proto_ = std::make_unique<ProtoEngine>(
-      host_, *transport_, fc_, ec_, options_.proto, rank_, n_procs,
+      host_, *transport_, fc_, ec_, options_.proto, rank_,
       options_.local_copy_cycles_per_byte, options_.local_send_fixed_cycles,
       ProtoEngine::Hooks{
           .submit = [this](const Message& m) { submit_locked(m); },
@@ -184,7 +183,7 @@ void Node::send(int from_thread, int to_thread, int to_process, BytesView data) 
   NCS_ASSERT_MSG(mts::Scheduler::active() == &host_, "NCS_send from a foreign thread");
   NCS_ASSERT(to_process >= 0 && to_process < n_procs_);
   Message msg{rank_, from_thread, to_process, to_thread,
-              next_seq_[static_cast<std::size_t>(to_process)]++, to_bytes(data)};
+              next_seq_[to_process]++, to_bytes(data)};
   ++stats_.sends;
   stats_.bytes_sent += data.size();
   if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
@@ -250,7 +249,7 @@ void Node::bcast(int from_thread, std::span<const Endpoint> destinations, BytesV
     const Endpoint& ep = destinations[i];
     NCS_ASSERT(ep.process >= 0 && ep.process < n_procs_);
     Message msg{rank_, from_thread, ep.process, ep.thread,
-                next_seq_[static_cast<std::size_t>(ep.process)]++, to_bytes(data)};
+                next_seq_[ep.process]++, to_bytes(data)};
     stats_.bytes_sent += data.size();
     if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
     send_queue_.push(
@@ -278,7 +277,7 @@ void Node::set_coll_offload(coll::OffloadPort* port) { coll_->set_offload(port);
 void Node::collective_send(int to_process, BytesView data, bool wait) {
   NCS_ASSERT(to_process >= 0 && to_process < n_procs_);
   Message msg{rank_, kCollectiveThread, to_process, kCollectiveThread,
-              next_seq_[static_cast<std::size_t>(to_process)]++, to_bytes(data)};
+              next_seq_[to_process]++, to_bytes(data)};
   stats_.bytes_sent += data.size();
   if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
   if (!wait) {

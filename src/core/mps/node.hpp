@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "coll/select.hpp"
+#include "common/peer_map.hpp"
 #include "core/mps/error_control.hpp"
 #include "core/mps/exception.hpp"
 #include "core/mps/flow_control.hpp"
@@ -206,6 +207,8 @@ class Node {
   const FlowControl& flow_control() const { return fc_; }
   const ErrorControl& error_control() const { return ec_; }
   const ProtoEngine& proto() const { return *proto_; }
+  /// Destinations this node has sent to (sequence counters held).
+  std::size_t peer_records() const { return next_seq_.size(); }
 
   /// Registers node + flow/error-control counters under `prefix`
   /// (e.g. "p0/mps" yields "p0/mps/sends", "p0/mps/flow/window_stalls", ...).
@@ -284,7 +287,7 @@ class Node {
   /// the collectives stat.
   void enter_collective();
 
-  std::vector<std::uint32_t> next_seq_;  // per destination process
+  PeerMap<std::uint32_t> next_seq_;  // per destination process, on first send
   std::vector<mts::Thread*> user_threads_;
 
   /// Recv-side trace span + flow end + profiler wakeup stamp for a message

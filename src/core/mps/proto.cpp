@@ -30,7 +30,7 @@ const char* to_string(ProtoMode m) {
 }
 
 ProtoEngine::ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl& fc,
-                         ErrorControl& ec, ProtoParams params, int rank, int n_procs,
+                         ErrorControl& ec, ProtoParams params, int rank,
                          double copy_cycles_per_byte, double fixed_cycles, Hooks hooks)
     : host_(host),
       transport_(transport),
@@ -40,9 +40,7 @@ ProtoEngine::ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl
       rank_(rank),
       copy_cycles_per_byte_(copy_cycles_per_byte),
       fixed_cycles_(fixed_cycles),
-      hooks_(std::move(hooks)),
-      batches_(static_cast<std::size_t>(n_procs)),
-      frame_seq_(static_cast<std::size_t>(n_procs), 0) {
+      hooks_(std::move(hooks)) {
   NCS_ASSERT(params_.coalesce_max_msgs >= 1);
   NCS_ASSERT(params_.coalesce_max_bytes >= 1);
 }
@@ -83,14 +81,14 @@ std::size_t ProtoEngine::crossover_bytes() const {
 
 Message ProtoEngine::make_frame(int dst, Bytes payload) {
   return Message{rank_, kProtoThread, dst, kProtoThread,
-                 frame_seq_[static_cast<std::size_t>(dst)]++, std::move(payload)};
+                 peers_[dst].frame_seq++, std::move(payload)};
 }
 
 // --- eager path (send-thread context) ---
 
 void ProtoEngine::eager_enqueue(Message msg) {
   const int dst = msg.to_process;
-  Batch& b = batches_[static_cast<std::size_t>(dst)];
+  Batch& b = peers_[dst].batch;
   const std::size_t size = msg.data.size();
   // The pack copy into the coalescing buffer — the eager path's
   // size-proportional cost, weighed against the handshake by the
@@ -98,15 +96,15 @@ void ProtoEngine::eager_enqueue(Message msg) {
   host_.charge_cycles(fixed_cycles_ + copy_cycles_per_byte_ * static_cast<double>(size),
                       sim::Activity::communicate);
   if (b.msgs.empty()) {
-    ++pending_batches_;
+    pending_.insert(std::lower_bound(pending_.begin(), pending_.end(), dst), dst);
     // First message arms the flush deadline. The timer fires in engine
     // context where flushing (which may block on flow control) is not
     // allowed, so it only parks a marker in the send queue.
-    b.timer = host_.engine().schedule_after(params_.flush_timeout, [this, dst] {
-      Batch& bb = batches_[static_cast<std::size_t>(dst)];
-      bb.timer = 0;
-      if (bb.msgs.empty() || bb.flush_requested) return;
-      bb.flush_requested = true;
+    // The batch outlives the timer: PeerMap records are never moved.
+    b.timer = host_.engine().schedule_after(params_.flush_timeout, [this, &b, dst] {
+      b.timer = 0;
+      if (b.msgs.empty() || b.flush_requested) return;
+      b.flush_requested = true;
       if (hooks_.request_flush) hooks_.request_flush(dst);
     });
   }
@@ -122,7 +120,9 @@ void ProtoEngine::eager_enqueue(Message msg) {
 }
 
 void ProtoEngine::flush(int dst, FlushReason reason) {
-  Batch& b = batches_[static_cast<std::size_t>(dst)];
+  Peer* peer = peers_.find(dst);
+  if (peer == nullptr) return;  // never batched toward dst: nothing to flush
+  Batch& b = peer->batch;
   if (b.timer != 0) {
     host_.engine().cancel(b.timer);
     b.timer = 0;
@@ -138,7 +138,7 @@ void ProtoEngine::flush(int dst, FlushReason reason) {
   b.msgs.clear();
   b.enqueued.clear();
   b.bytes = 0;
-  --pending_batches_;
+  pending_.erase(std::lower_bound(pending_.begin(), pending_.end(), dst));
 
   std::size_t frame_len = kFrameHeaderBytes;
   for (const Message& m : msgs) frame_len += kEagerRecordBytes + m.data.size();
@@ -195,8 +195,15 @@ void ProtoEngine::flush(int dst, FlushReason reason) {
 }
 
 void ProtoEngine::flush_all(FlushReason reason) {
-  for (std::size_t dst = 0; dst < batches_.size(); ++dst) {
-    if (!batches_[dst].msgs.empty()) flush(static_cast<int>(dst), reason);
+  // Each step takes the lowest pending destination past the last one
+  // flushed. A batch opened behind the cursor while a flush blocked waits
+  // for the next call, just as an ascending scan over every rank would
+  // have passed it by.
+  for (int next = 0;;) {
+    const auto it = std::lower_bound(pending_.begin(), pending_.end(), next);
+    if (it == pending_.end()) return;
+    next = *it + 1;
+    flush(*it, reason);
   }
 }
 

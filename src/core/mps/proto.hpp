@@ -38,6 +38,7 @@
 #include <set>
 #include <vector>
 
+#include "common/peer_map.hpp"
 #include "core/mps/error_control.hpp"
 #include "core/mps/exception.hpp"
 #include "core/mps/flow_control.hpp"
@@ -132,7 +133,7 @@ class ProtoEngine {
   };
 
   ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl& fc, ErrorControl& ec,
-              ProtoParams params, int rank, int n_procs, double copy_cycles_per_byte,
+              ProtoParams params, int rank, double copy_cycles_per_byte,
               double fixed_cycles, Hooks hooks);
 
   bool enabled() const { return params_.mode != ProtoMode::off; }
@@ -158,11 +159,16 @@ class ProtoEngine {
   /// empty). May block on flow control.
   void flush(int dst, FlushReason reason);
 
-  /// Flushes every non-empty batch (send queue ran dry).
+  /// Flushes every non-empty batch (send queue ran dry), in ascending
+  /// destination order.
   void flush_all(FlushReason reason);
 
   /// True when some batch holds messages (used by the idle-flush check).
-  bool has_pending() const { return pending_batches_ > 0; }
+  bool has_pending() const { return !pending_.empty(); }
+
+  /// Destinations holding protocol state (a batch or a frame sequence),
+  /// created on the first eager message or frame toward them.
+  std::size_t peer_records() const { return peers_.size(); }
 
   /// Rendezvous transfer: RTS/CTS handshake, then chunked bulk transfer.
   /// Blocks the send thread until the last chunk's hand-off. Returns false
@@ -257,9 +263,15 @@ class ProtoEngine {
   double fixed_cycles_;
   Hooks hooks_;
 
-  std::vector<Batch> batches_;             // per destination
-  std::vector<std::uint32_t> frame_seq_;   // per destination, gap-free
-  int pending_batches_ = 0;
+  struct Peer {
+    Batch batch;
+    std::uint32_t frame_seq = 0;  // gap-free per destination
+  };
+  PeerMap<Peer> peers_;
+  /// Destinations whose batch holds messages, ascending — flush_all's
+  /// order, so it walks only pending batches yet flushes as a scan over
+  /// every rank would.
+  std::vector<int> pending_;
 
   std::uint32_t next_transfer_ = 1;
   std::map<std::uint32_t, RndvTx> rndv_tx_;

@@ -69,7 +69,7 @@ class Thread {
 
   bool finished() const { return state_ == ThreadState::finished; }
 
-  /// Peak stack usage, valid once the thread has run (stacks are painted).
+  /// Peak stack usage so far (see qt::Stack::high_watermark).
   std::size_t stack_high_watermark() const { return stack_.high_watermark(); }
 
  private:

@@ -26,7 +26,8 @@ double MetricsRegistry::Entry::read() const {
 
 void MetricsRegistry::insert(Entry e) {
   NCS_ASSERT_MSG(!e.key.empty(), "metric key must not be empty");
-  NCS_ASSERT_MSG(find(e.key) == nullptr, "duplicate metric key");
+  const bool fresh = index_.emplace(e.key, entries_.size()).second;
+  NCS_ASSERT_MSG(fresh, "duplicate metric key");
   entries_.push_back(std::move(e));
 }
 
@@ -46,9 +47,8 @@ void MetricsRegistry::duration(std::string key, DurationFn read) {
 }
 
 const MetricsRegistry::Entry* MetricsRegistry::find(std::string_view key) const {
-  for (const Entry& e : entries_)
-    if (e.key == key) return &e;
-  return nullptr;
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &entries_[it->second];
 }
 
 bool MetricsRegistry::contains(std::string_view key) const { return find(key) != nullptr; }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -87,7 +88,16 @@ class MetricsRegistry {
   const Entry* find(std::string_view key) const;
   void insert(Entry e);
 
-  std::vector<Entry> entries_;
+  /// Transparent hash so find() looks a string_view up without a copy.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const { return std::hash<std::string_view>{}(k); }
+  };
+
+  std::vector<Entry> entries_;  // registration order
+  /// Key -> position in entries_: duplicate checks and lookups are O(1),
+  /// so registering a P=1024 cluster's keys is linear, not quadratic.
+  std::unordered_map<std::string, std::size_t, KeyHash, std::equal_to<>> index_;
 };
 
 }  // namespace ncs::obs

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -19,8 +18,6 @@ std::size_t page_size() {
 }
 
 std::size_t round_up(std::size_t v, std::size_t align) { return (v + align - 1) / align * align; }
-
-constexpr std::uint64_t kPaint = 0x51CC51CC51CC51CCull;  // "QT" sentinel
 
 }  // namespace
 
@@ -44,8 +41,7 @@ Stack::Stack(Stack&& other) noexcept
     : map_(std::exchange(other.map_, nullptr)),
       base_(std::exchange(other.base_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      map_size_(std::exchange(other.map_size_, 0)),
-      painted_(std::exchange(other.painted_, false)) {}
+      map_size_(std::exchange(other.map_size_, 0)) {}
 
 Stack& Stack::operator=(Stack&& other) noexcept {
   if (this != &other) {
@@ -54,25 +50,17 @@ Stack& Stack::operator=(Stack&& other) noexcept {
     base_ = std::exchange(other.base_, nullptr);
     size_ = std::exchange(other.size_, 0);
     map_size_ = std::exchange(other.map_size_, 0);
-    painted_ = std::exchange(other.painted_, false);
   }
   return *this;
 }
 
-void Stack::paint() {
-  auto* words = static_cast<std::uint64_t*>(base_);
-  const std::size_t n = size_ / sizeof(std::uint64_t);
-  for (std::size_t i = 0; i < n; ++i) words[i] = kPaint;
-  painted_ = true;
-}
-
 std::size_t Stack::high_watermark() const {
-  if (!painted_) return 0;
-  // Stacks grow down: scan from the bottom for the first clobbered word.
+  // Stacks grow down: scan up from the bottom for the first written word.
+  // Reading an untouched page maps the shared zero page, not new memory.
   const auto* words = static_cast<const std::uint64_t*>(base_);
   const std::size_t n = size_ / sizeof(std::uint64_t);
   for (std::size_t i = 0; i < n; ++i) {
-    if (words[i] != kPaint) return size_ - i * sizeof(std::uint64_t);
+    if (words[i] != 0) return size_ - i * sizeof(std::uint64_t);
   }
   return 0;
 }

@@ -29,11 +29,10 @@ class Stack {
   void* top() const { return static_cast<char*>(base_) + size_; }
   std::size_t size() const { return size_; }
 
-  /// Fills the stack with a sentinel pattern so high_watermark() can report
-  /// peak usage later. Call before first use.
-  void paint();
-
-  /// Bytes of stack ever touched since paint(); 0 if never painted.
+  /// Bytes between top() and the deepest non-zero word: peak usage so far.
+  /// The anonymous mapping starts zero-filled, and a page is only committed
+  /// once touched, so this costs nothing until asked. A frame that stores
+  /// only zeros at its deepest words reads slightly shallower than it was.
   std::size_t high_watermark() const;
 
  private:
@@ -41,7 +40,6 @@ class Stack {
   void* base_ = nullptr;  // usable region
   std::size_t size_ = 0;
   std::size_t map_size_ = 0;
-  bool painted_ = false;
 };
 
 }  // namespace ncs::qt

@@ -70,19 +70,21 @@ Engine::Engine(mts::Scheduler& host, atm::Nic& nic, int rank, int n_procs,
       rank_(rank),
       n_procs_(n_procs),
       params_(params),
-      peers_(static_cast<std::size_t>(n_procs)),
       cq_(host) {
   NCS_ASSERT(rank >= 0 && rank < n_procs);
+  NCS_ASSERT_MSG(n_procs <= 0x10000 - atm::kRmaVciBase, "RMA plane VCI range overflows");
   NCS_ASSERT(params_.op_credits >= 1);
   // Terminate the RMA-plane VCs in the NIC upcall — the target side of
-  // every one-sided op runs here, never in a receive thread.
-  for (int p = 0; p < n_procs_; ++p) {
-    if (p == rank_) continue;
-    nic_.set_vc_handler(atm::rma_vc_to(p),
-                        [this, p](atm::VcId, Bytes chunk, bool eom) {
-                          on_rx(p, std::move(chunk), eom);
-                        });
-  }
+  // every one-sided op runs here, never in a receive thread. Two range
+  // entries cover every peer; the rank's own VCI stays with the default
+  // handler.
+  const auto on_plane = [this](atm::VcId vc, Bytes chunk, bool eom) {
+    on_rx(atm::rma_src_of(vc), std::move(chunk), eom);
+  };
+  const std::uint16_t own = atm::rma_vc_to(rank_).vci;
+  nic_.add_vc_range_handler(atm::kRmaVciBase, own, on_plane);
+  nic_.add_vc_range_handler(static_cast<std::uint16_t>(own + 1),
+                            static_cast<std::uint16_t>(atm::kRmaVciBase + n_procs_), on_plane);
 }
 
 Window& Engine::create_window(int id, std::size_t bytes) {
@@ -111,7 +113,7 @@ std::uint32_t Engine::put(int peer_rank, int rwindow, std::uint64_t roffset,
   NCS_ASSERT_MSG(data.size() <= params_.max_op_bytes, "put exceeds max_op_bytes");
   const TimePoint post_begin = engine_.now();
   host_.charge_cycles(params_.desc_post_cycles, sim::Activity::overhead);
-  PeerState& ps = peer(peer_rank);
+  PeerState& ps = peers_[peer_rank];
   PendingOp op;
   op.op_id = ps.next_op_id++;
   op.kind = OpKind::put;
@@ -144,7 +146,7 @@ std::uint32_t Engine::get(int peer_rank, int rwindow, std::uint64_t roffset,
                  "get destination outside a registered window");
   const TimePoint post_begin = engine_.now();
   host_.charge_cycles(params_.desc_post_cycles, sim::Activity::overhead);
-  PeerState& ps = peer(peer_rank);
+  PeerState& ps = peers_[peer_rank];
   PendingOp op;
   op.op_id = ps.next_op_id++;
   op.kind = OpKind::get;
@@ -172,7 +174,7 @@ std::uint32_t Engine::fetch_add(int peer_rank, int rwindow, std::uint64_t roffse
   NCS_ASSERT(rwindow >= 0 && rwindow <= 0xFFFF);
   const TimePoint post_begin = engine_.now();
   host_.charge_cycles(params_.desc_post_cycles, sim::Activity::overhead);
-  PeerState& ps = peer(peer_rank);
+  PeerState& ps = peers_[peer_rank];
   PendingOp op;
   op.op_id = ps.next_op_id++;
   op.kind = OpKind::fetch_add;
@@ -205,7 +207,7 @@ std::uint32_t Engine::compare_swap(int peer_rank, int rwindow,
     ByteWriter w(desired_bytes);
     w.u64(desired);
   }
-  PeerState& ps = peer(peer_rank);
+  PeerState& ps = peers_[peer_rank];
   PendingOp op;
   op.op_id = ps.next_op_id++;
   op.kind = OpKind::compare_swap;
@@ -294,10 +296,11 @@ Bytes Engine::build_frame(const PendingOp& op, BytesView payload) const {
 }
 
 std::uint32_t Engine::sync_watermark(int p) const {
-  const PeerState& ps = peers_[static_cast<std::size_t>(p)];
-  if (!ps.inflight.empty()) return ps.inflight.begin()->first;
-  if (!ps.deferred.empty()) return ps.deferred.front().op_id;
-  return ps.next_op_id;
+  const PeerState* ps = peers_.find(p);
+  if (ps == nullptr) return PeerState{}.next_op_id;  // nothing posted yet
+  if (!ps->inflight.empty()) return ps->inflight.begin()->first;
+  if (!ps->deferred.empty()) return ps->deferred.front().op_id;
+  return ps->next_op_id;
 }
 
 std::uint32_t Engine::post_self(PendingOp op, Bytes data) {
@@ -356,13 +359,14 @@ void Engine::run_self_op() {
 }
 
 void Engine::issue(int p, PendingOp op) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   if (ps.credits_used >= params_.op_credits) {
     ps.deferred.push_back(std::move(op));
     ++stats_.deferred;
     return;
   }
   ++ps.credits_used;
+  ++credits_in_use_;
   const std::uint32_t id = op.op_id;
   Bytes wire = op.wire;  // the pending op keeps the original for retransmit
   auto [it, inserted] = ps.inflight.emplace(id, std::move(op));
@@ -372,7 +376,7 @@ void Engine::issue(int p, PendingOp op) {
 }
 
 void Engine::arm_timer(int p, std::uint32_t op_id) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   auto it = ps.inflight.find(op_id);
   NCS_ASSERT(it != ps.inflight.end());
   it->second.timer = engine_.schedule_after(
@@ -380,7 +384,7 @@ void Engine::arm_timer(int p, std::uint32_t op_id) {
 }
 
 void Engine::on_timeout(int p, std::uint32_t op_id) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   auto it = ps.inflight.find(op_id);
   if (it == ps.inflight.end()) return;  // response raced the timer
   PendingOp& op = it->second;
@@ -455,9 +459,10 @@ void Engine::complete(int p, PendingOp op, bool ok, std::uint64_t value) {
 }
 
 void Engine::release_credit(int p) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   NCS_ASSERT(ps.credits_used > 0);
   --ps.credits_used;
+  --credits_in_use_;
   if (!ps.deferred.empty()) {
     PendingOp next = std::move(ps.deferred.front());
     ps.deferred.pop_front();
@@ -505,7 +510,7 @@ void Engine::tx_step() {
 // --- target side (NIC upcall context) ---
 
 void Engine::on_rx(int p, Bytes chunk, bool eom) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   append(ps.rx_buf, chunk);
   if (!eom) return;
   Bytes frame = std::move(ps.rx_buf);
@@ -591,7 +596,7 @@ void Engine::handle_frame(int p, Bytes frame) {
 }
 
 void Engine::execute_request(RxRequest q) {
-  PeerState& ps = peer(q.p);
+  PeerState& ps = peers_[q.p];
   // The watermark proves every op id below `sync` completed at the
   // initiator, so the idempotency state for them can never be needed again.
   // Pruning happens here, not at frame arrival: requests park in rx_exec_
@@ -709,7 +714,7 @@ void Engine::send_response(int p, std::uint8_t kind, int window_id,
 
 void Engine::handle_response(int p, std::uint8_t kind, std::uint32_t op_id,
                              std::uint64_t aux, BytesView payload) {
-  PeerState& ps = peer(p);
+  PeerState& ps = peers_[p];
   auto it = ps.inflight.find(op_id);
   if (it == ps.inflight.end()) return;  // duplicate response: op already done
   PendingOp& op = it->second;

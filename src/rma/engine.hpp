@@ -39,6 +39,7 @@
 #include "atm/network.hpp"
 #include "atm/nic.hpp"
 #include "common/bytes.hpp"
+#include "common/peer_map.hpp"
 #include "core/mts/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
@@ -130,11 +131,11 @@ class Engine {
 
   /// Admission credits held right now, summed over every peer — the
   /// telemetry probe for descriptor-ring occupancy.
-  int credits_in_use() const {
-    int n = 0;
-    for (const PeerState& ps : peers_) n += ps.credits_used;
-    return n;
-  }
+  int credits_in_use() const { return credits_in_use_; }
+
+  /// Peers holding one-sided state: the ones this engine has posted to or
+  /// taken requests from. Never-contacted peers cost nothing.
+  std::size_t peer_records() const { return peers_.size(); }
 
   struct Stats {
     std::uint64_t puts = 0;
@@ -233,8 +234,6 @@ class Engine {
     std::set<std::uint32_t> notified;
   };
 
-  PeerState& peer(int p) { return peers_[static_cast<std::size_t>(p)]; }
-
   Bytes build_frame(const PendingOp& op, BytesView payload) const;
   /// Initiator-side trace span + request flow arrow for a just-posted op;
   /// `begin` is when the descriptor build started charging.
@@ -269,7 +268,8 @@ class Engine {
   Params params_;
 
   std::map<int, std::unique_ptr<Window>> windows_;
-  std::vector<PeerState> peers_;
+  PeerMap<PeerState> peers_;  // created on first contact
+  int credits_in_use_ = 0;     // sum of every PeerState::credits_used
   CompletionQueue cq_;
   int pending_total_ = 0;
   std::deque<mts::Thread*> fence_waiters_;

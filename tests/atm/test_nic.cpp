@@ -89,6 +89,24 @@ TEST_F(NicFixture, DetailedModeMatchesBurstModePayloadAndTiming) {
   EXPECT_EQ((rx[0].at - t0).ps(), (burst_time - TimePoint::origin()).ps());
 }
 
+TEST_F(NicFixture, VcRangeHandlersTakeOnlyTheirRanges) {
+  // The RMA engine's shape: its plane minus the rank's own VCI (103),
+  // which stays with the default handler, as does every other VPI.
+  std::vector<VcId> ranged;
+  const auto on_range = [&](VcId vc, Bytes, bool) { ranged.push_back(vc); };
+  nic->add_vc_range_handler(100, 103, on_range);
+  nic->add_vc_range_handler(104, 106, on_range);
+  for (const VcId vc : {VcId{0, 101}, VcId{0, 103}, VcId{0, 105}, VcId{0, 106}, VcId{1, 101}}) {
+    nic->submit_tx(vc, payload(64), true);
+    engine.run();
+  }
+  EXPECT_EQ(ranged, (std::vector<VcId>{{0, 101}, {0, 105}}));
+  ASSERT_EQ(rx.size(), 3u);
+  EXPECT_EQ(rx[0].vc, (VcId{0, 103}));
+  EXPECT_EQ(rx[1].vc, (VcId{0, 106}));
+  EXPECT_EQ(rx[2].vc, (VcId{1, 101}));
+}
+
 TEST_F(NicFixture, TxBufferBackpressure) {
   NicParams p;
   p.tx_buffers = 2;

@@ -37,7 +37,7 @@ struct FcFixture : ::testing::Test {
 };
 
 TEST_F(FcFixture, NonePolicyNeverBlocks) {
-  FlowControl fc(sched, {.kind = FlowControlKind::none}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::none});
   EXPECT_FALSE(fc.wants_acks());
   int sent = 0;
   sched.spawn([&] {
@@ -52,7 +52,7 @@ TEST_F(FcFixture, NonePolicyNeverBlocks) {
 }
 
 TEST_F(FcFixture, WindowBlocksAtLimitAndAckReleases) {
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 2}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 2});
   EXPECT_TRUE(fc.wants_acks());
   std::vector<int> log;
   sched.spawn([&] {
@@ -74,7 +74,7 @@ TEST_F(FcFixture, WindowBlocksAtLimitAndAckReleases) {
 }
 
 TEST_F(FcFixture, WindowIsPerDestination) {
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1});
   std::vector<std::string> log;
   sched.spawn([&] {
     fc.before_send(to(1));
@@ -96,7 +96,7 @@ TEST_F(FcFixture, AckWakesTheWaiterForItsOwnDestination) {
   // from destination 2 woke whichever sender blocked first — here the one
   // stuck on destination 1, which just re-blocked while destination 2's
   // sender slept forever.
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1});
   std::vector<std::string> log;
   sched.spawn([&] {
     fc.before_send(to(1));
@@ -128,7 +128,7 @@ TEST_F(FcFixture, WindowWaitersKeepFifoSeniorityOverNewcomers) {
   // resumption used to see outstanding < window and barge past the queue,
   // stealing the credit; the waiter then re-queued at the BACK and lost
   // its seniority. Admission must follow arrival order per destination.
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1});
   std::vector<std::string> log;
   sched.spawn([&] {
     fc.before_send(to(1));
@@ -169,7 +169,7 @@ TEST_F(FcFixture, DuplicateAcksDoNotSignalExtraWaiters) {
   // wakeups to a single credit; the losers re-queued (recounting their
   // stall and losing their seat's seniority). A waiter now queues exactly
   // once per stall and only credit-backed acks signal.
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 1});
   std::vector<std::string> log;
   sched.spawn([&] {
     fc.before_send(to(1));
@@ -206,7 +206,7 @@ TEST_F(FcFixture, DuplicateAcksDoNotSignalExtraWaiters) {
 
 TEST_F(FcFixture, RatePolicyPacesInjection) {
   // 1 MB/s: three 100 KB messages must take ~0.2s of pacing after the first.
-  FlowControl fc(sched, {.kind = FlowControlKind::rate, .rate_bytes_per_sec = 1e6}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::rate, .rate_bytes_per_sec = 1e6});
   EXPECT_FALSE(fc.wants_acks());
   TimePoint last;
   sched.spawn([&] {
@@ -224,7 +224,7 @@ TEST_F(FcFixture, RatePolicyDoesNotBurstWhenManySendersWakeTogether) {
   // horizon all woke at it and burst their messages back to back — the
   // paced rate was exceeded by a factor of N right after every stall.
   // Each sender must re-check the horizon after waking.
-  FlowControl fc(sched, {.kind = FlowControlKind::rate, .rate_bytes_per_sec = 1e6}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::rate, .rate_bytes_per_sec = 1e6});
   std::vector<double> admitted;  // seconds, one per sender
   for (int i = 0; i < 4; ++i) {
     sched.spawn([&] {
@@ -241,7 +241,7 @@ TEST_F(FcFixture, RatePolicyDoesNotBurstWhenManySendersWakeTogether) {
 }
 
 TEST_F(FcFixture, DuplicateAcksClampAtZero) {
-  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 2}, 4);
+  FlowControl fc(sched, {.kind = FlowControlKind::window, .window = 2});
   sched.spawn([&] { fc.before_send(to(1)); });
   engine.run();
   fc.on_ack(1);

@@ -299,6 +299,43 @@ TEST(ProtoEngine, LossyWanDigestsBitIdentical) {
             0u);
 }
 
+/// Transport that only records what it was handed.
+class RecordingTransport : public Transport {
+ public:
+  void submit(const Message& msg) override { submitted.push_back(msg.to_process); }
+  Message recv_next() override { return {}; }
+  const char* name() const override { return "recording"; }
+  std::vector<int> submitted;
+};
+
+TEST(ProtoEngine, FlushAllGoesInAscendingDestinationOrder) {
+  // Pending batches opened toward 5, 2 and 7 (in that order) flush as 2, 5,
+  // 7: flush_all walks only the destinations with pending batches, yet in
+  // the order a scan over every rank would.
+  sim::Engine engine;
+  mts::SchedulerParams sp;
+  mts::Scheduler host(engine, sp);
+  RecordingTransport transport;
+  FlowControl fc(host, {});
+  ErrorControl ec(engine, {}, [](Message) {});
+  ProtoParams params;
+  params.mode = ProtoMode::eager;
+  ProtoEngine proto(host, transport, fc, ec, params, /*rank=*/0, /*copy_cycles_per_byte=*/0,
+                    /*fixed_cycles=*/0,
+                    ProtoEngine::Hooks{.submit = [&](const Message& m) { transport.submit(m); }});
+  EXPECT_EQ(proto.peer_records(), 0u);
+  host.spawn([&] {
+    for (int dst : {5, 2, 7}) proto.eager_enqueue(Message{0, 0, dst, 0, 0, patterned(16, 1)});
+    EXPECT_TRUE(proto.has_pending());
+    proto.flush_all(ProtoEngine::FlushReason::idle);
+    EXPECT_FALSE(proto.has_pending());
+  });
+  engine.run();
+  EXPECT_EQ(transport.submitted, (std::vector<int>{2, 5, 7}));
+  EXPECT_EQ(proto.peer_records(), 3u);
+  EXPECT_EQ(proto.stats().flush_idle, 3u);
+}
+
 TEST(ProtoEngine, AutomaticCrossoverIsSaneForHsm) {
   ClusterConfig cfg = cluster::sun_atm_lan(2);
   cfg.ncs.proto.mode = ProtoMode::adaptive;

@@ -55,6 +55,25 @@ TEST(MetricsRegistry, SnapshotIsSortedByKey) {
   EXPECT_DOUBLE_EQ(samples[2].value, 3.0);
 }
 
+TEST(MetricsRegistry, IndexedLookupFindsEveryKeyOfALargeRegistry) {
+  // The scale of a P=1024 cluster's registry: registration and lookup are
+  // indexed, so this stays linear in the key count.
+  MetricsRegistry reg;
+  constexpr std::uint64_t kKeys = 100'000;
+  for (std::uint64_t i = 0; i < kKeys; ++i)
+    reg.counter("p" + std::to_string(i) + "/n", [i] { return i; });
+  EXPECT_EQ(reg.size(), kKeys);
+  for (std::uint64_t i = 0; i < kKeys; i += 997)
+    EXPECT_EQ(reg.counter_value("p" + std::to_string(i) + "/n"), i);
+  EXPECT_FALSE(reg.contains("p100000/n"));
+}
+
+TEST(MetricsRegistryDeathTest, DuplicateKeyIsRefused) {
+  MetricsRegistry reg;
+  reg.counter("p0/x", [] { return std::uint64_t{0}; });
+  EXPECT_DEATH(reg.counter("p0/x", [] { return std::uint64_t{1}; }), "duplicate metric key");
+}
+
 TEST(MetricsRegistry, JsonEmbedsUnderMetricsKey) {
   MetricsRegistry reg;
   std::uint64_t n = 42;

@@ -142,7 +142,6 @@ void deep_entry(void*) {
 
 TEST(Context, DeepStackUsageWithinLimitsWorks) {
   Stack stack(256 * 1024);
-  stack.paint();
   g_fiber_a.init(stack, deep_entry, nullptr);
   Context::switch_to(g_main, g_fiber_a);
   EXPECT_GE(stack.high_watermark(), 64u * 1024u);

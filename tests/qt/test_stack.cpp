@@ -29,7 +29,6 @@ TEST(Stack, WatermarkZeroWhenUnpainted) {
 
 TEST(Stack, WatermarkTracksDeepestTouch) {
   Stack s(64 * 1024);
-  s.paint();
   EXPECT_EQ(s.high_watermark(), 0u);
   // Touch 1 KiB from the top (stacks grow down).
   auto* top = static_cast<std::uint64_t*>(s.top());
