@@ -34,7 +34,7 @@ Measurement measure(bool interleave, std::size_t bulk_bytes, std::size_t frame_b
   net::Link link(engine, {.bandwidth_bps = bw::taxi_140,
                           .propagation = Duration::microseconds(2)});
   LatencyProbe probe(engine);
-  CellMux mux(engine, link, probe, 0);
+  CellMux mux(link, probe, 0);
   mux.set_interleave(interleave);
 
   Burst bulk;

@@ -11,7 +11,12 @@
 //          Reports wall-clock events/sec for both and the speedup; the
 //          run fails if the calendar queue is not at least 5x the
 //          std::map queue at P >= 256 (3x under --fast, whose shrunken
-//          budget leaves the P = 1024 points ramp-dominated).
+//          budget leaves the P = 1024 points ramp-dominated). The same
+//          claim without a clock: the calendar's own work (insert-walk
+//          steps + bucket probes, sim::Engine::Stats) per event must stay
+//          at or under 4.0 at every P, in both budgets — the fitted
+//          geometry measures at most 2.96 (P = 16), and a misfit one
+//          walks long lists or scans empty buckets on every event.
 //
 //   ring   Full-stack messages/sec: P NCS/HSM processes on the multi-site
 //          SONET WAN (chain of LAN stars), nearest-neighbour ring traffic
@@ -67,6 +72,8 @@ double rss_mb() {
 struct CorePoint {
   double events_per_sec = 0;
   std::uint64_t processed = 0;
+  /// Calendar insert-walk steps + bucket probes per event (0 on std::map).
+  double work_per_event = 0;
 };
 
 /// The hot event mix of a busy simulated host, multiplied by P: short
@@ -132,7 +139,10 @@ CorePoint core_stress(sim::Engine::QueueKind kind, int n_hosts,
                      });
   e.run();
   const double wall = wall_since(t0);
-  return {static_cast<double>(e.processed()) / wall, e.processed()};
+  const sim::Engine::Stats& st = e.stats();
+  return {static_cast<double>(e.processed()) / wall, e.processed(),
+          static_cast<double>(st.insert_steps + st.bucket_probes) /
+              static_cast<double>(e.processed())};
 }
 
 struct RingPoint {
@@ -278,10 +288,13 @@ int main(int argc, char** argv) {
   std::printf("Event-core scale sweep (%s budgets)\n\n", fast ? "fast" : "full");
   std::printf("core: >= %llu events through both queue backends per point\n",
               static_cast<unsigned long long>(core_events));
-  std::printf("%6s %16s %16s %9s\n", "P", "calendar ev/s", "std::map ev/s", "speedup");
+  std::printf("%6s %16s %16s %9s %10s\n", "P", "calendar ev/s", "std::map ev/s", "speedup",
+              "work/ev");
 
   const double gate = fast ? 3.0 : 5.0;
+  constexpr double kWorkGate = 4.0;  // calendar steps + probes per event
   bool speedup_ok = true;
+  bool work_ok = true;
   sim::EventFn::reset_census();
   auto best_of = [&](sim::Engine::QueueKind kind, int p) {
     CorePoint best = core_stress(kind, p, core_events);
@@ -294,8 +307,9 @@ int main(int argc, char** argv) {
     const CorePoint leg = best_of(sim::Engine::QueueKind::legacy_map, p);
     const double speedup = cal.events_per_sec / leg.events_per_sec;
     if (p >= 256 && speedup < gate) speedup_ok = false;
-    std::printf("%6d %16.0f %16.0f %8.2fx\n", p, cal.events_per_sec, leg.events_per_sec,
-                speedup);
+    if (cal.work_per_event > kWorkGate) work_ok = false;
+    std::printf("%6d %16.0f %16.0f %8.2fx %10.3f\n", p, cal.events_per_sec, leg.events_per_sec,
+                speedup, cal.work_per_event);
     report.row();
     report.set("stage", std::string("core"));
     report.set("procs", p);
@@ -303,6 +317,7 @@ int main(int argc, char** argv) {
     report.set("events_per_sec", cal.events_per_sec);
     report.set("legacy_events_per_sec", leg.events_per_sec);
     report.set("speedup_vs_legacy", speedup);
+    report.set("calendar_work_per_event", cal.work_per_event);
   }
   // The zero-allocation claim, enforced: every closure the stress schedules
   // must fit the EventFn inline buffer.
@@ -373,8 +388,11 @@ int main(int argc, char** argv) {
   const ArenaPoint arena = arena_census(fast ? 8 : 24);
   const bool arena_ok = arena.heap_allocs == 0 && arena.acquires > 0;
 
-  const bool all_ok = speedup_ok && inline_only && arena_ok && telemetry_ok && init_rss_ok;
+  const bool all_ok =
+      speedup_ok && work_ok && inline_only && arena_ok && telemetry_ok && init_rss_ok;
   std::printf("\ncalendar >= %.0fx std::map at P >= 256: %s\n", gate, speedup_ok ? "yes" : "NO");
+  std::printf("calendar work <= %.1f steps+probes per event at every P: %s\n", kWorkGate,
+              work_ok ? "yes" : "NO");
   if (!fast)
     std::printf("init_ncs_hsm at P = %d grows RSS under %.0f MB: %s\n", kInitGateProcs,
                 kInitGateMb, init_rss_ok ? "yes" : "NO");
@@ -383,6 +401,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(arena.acquires),
               static_cast<unsigned long long>(arena.heap_allocs), arena_ok ? "yes" : "NO");
   report.summary("speedup_ok", speedup_ok);
+  report.summary("calendar_work_ok", work_ok);
   if (!fast) report.summary("init_rss_ok", init_rss_ok);
   report.summary("event_fn_heap_constructions",
                  static_cast<std::int64_t>(census.heap_constructions));

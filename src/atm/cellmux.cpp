@@ -6,15 +6,14 @@
 
 namespace ncs::atm {
 
-CellMux::CellMux(sim::Engine& engine, net::Link& link, CellSink& peer, int peer_port)
-    : engine_(engine), link_(link), peer_(peer), peer_port_(peer_port) {}
+CellMux::CellMux(net::Link& link, CellSink& peer, int peer_port)
+    : link_(link), peer_(peer), peer_port_(peer_port) {}
 
 void CellMux::submit(Burst burst) {
   NCS_ASSERT(burst.n_cells > 0);
   ++stats_.bursts;
   if (!interleave_) {
     fifo_.push_back(std::move(burst));
-    fifo_enqueued_.push_back(engine_.now());
   } else {
     Flow& flow = flows_[burst.vc];
     if (!flow.in_ring) {
@@ -22,7 +21,6 @@ void CellMux::submit(Burst burst) {
       rr_order_.push_back(burst.vc);
     }
     if (flow.bursts.empty()) flow.cells_left_in_head = burst.n_cells;
-    flow.enqueued.push_back(engine_.now());
     flow.bursts.push_back(std::move(burst));
   }
   pump();
@@ -45,20 +43,11 @@ CellMux::Flow* CellMux::next_flow() {
     }
     // Drained: leave the ring and the table; a new burst on this VC
     // re-registers it in submit(). rr_pos_ now indexes the next entry.
-    NCS_ASSERT(flow.cells_left_in_head == 0 && flow.enqueued.empty());
+    NCS_ASSERT(flow.cells_left_in_head == 0);
     flows_.erase(it);
     rr_order_.erase(rr_order_.begin() + static_cast<std::ptrdiff_t>(rr_pos_));
   }
   return nullptr;
-}
-
-void CellMux::note_delivered(const Burst& burst, TimePoint submitted) {
-  if (prof_ != nullptr) prof_->record(obs::Layer::mux_queue, engine_.now() - submitted);
-  if (trace_ == nullptr) return;
-  trace_->complete(trace_track_,
-                   "vc" + std::to_string(burst.vc.vpi) + "." + std::to_string(burst.vc.vci) +
-                       " x" + std::to_string(burst.n_cells),
-                   "atm", submitted, engine_.now() - submitted);
 }
 
 void CellMux::pump() {
@@ -68,12 +57,9 @@ void CellMux::pump() {
     if (fifo_.empty()) return;
     Burst burst = std::move(fifo_.front());
     fifo_.pop_front();
-    const TimePoint submitted = fifo_enqueued_.front();
-    fifo_enqueued_.pop_front();
     transmitting_ = true;
     stats_.cells_sent += burst.n_cells;
     ++stats_.turns;
-    note_delivered(burst, submitted);
     link_.transmit(
         burst.wire_bytes(),
         [this] {
@@ -98,10 +84,7 @@ void CellMux::pump() {
   if (last_cell) {
     Burst finished = std::move(flow->bursts.front());
     flow->bursts.pop_front();
-    const TimePoint submitted = flow->enqueued.front();
-    flow->enqueued.pop_front();
     if (!flow->bursts.empty()) flow->cells_left_in_head = flow->bursts.front().n_cells;
-    note_delivered(finished, submitted);
     on_delivered = [this, b = std::move(finished)]() mutable {
       peer_.accept(peer_port_, std::move(b));
     };

@@ -20,15 +20,13 @@
 #include "atm/burst.hpp"
 #include "net/link.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace ncs::atm {
 
 class CellMux {
  public:
-  CellMux(sim::Engine& engine, net::Link& link, CellSink& peer, int peer_port);
+  CellMux(net::Link& link, CellSink& peer, int peer_port);
 
   /// Round-robin per-VC cell interleaving (true) or burst-at-once FIFO.
   void set_interleave(bool on) { interleave_ = on; }
@@ -47,17 +45,6 @@ class CellMux {
   /// Registers the mux's counters under `prefix` (e.g. "p0/cellmux").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Per-burst delivery spans (submit -> last cell out) go onto `track`.
-  void set_trace(obs::TraceLog* trace, int track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
-
-  /// Per-burst queueing+serialization delay (submit -> last cell out)
-  /// feeds Layer::mux_queue — the contended-link wait the interleaving
-  /// ablation studies.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
-
   /// Introspection for the SVC-churn regression tests: both must stay
   /// bounded by the number of *currently backlogged* VCs, not by every VC
   /// ever seen.
@@ -75,17 +62,13 @@ class CellMux {
  private:
   struct Flow {
     std::deque<Burst> bursts;
-    std::deque<TimePoint> enqueued;  // submit time of each queued burst
     std::uint32_t cells_left_in_head = 0;
     bool in_ring = false;
   };
 
   void pump();
   Flow* next_flow();
-  /// Burst leaves the mux: trace span + profiler sample over its wait.
-  void note_delivered(const Burst& burst, TimePoint submitted);
 
-  sim::Engine& engine_;
   net::Link& link_;
   CellSink& peer_;
   int peer_port_;
@@ -96,11 +79,7 @@ class CellMux {
   std::vector<VcId> rr_order_;
   std::size_t rr_pos_ = 0;
   std::deque<Burst> fifo_;  // non-interleaved mode
-  std::deque<TimePoint> fifo_enqueued_;
 
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
   Stats stats_;
 };
 

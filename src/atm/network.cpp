@@ -8,7 +8,7 @@
 
 namespace ncs::atm {
 
-AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config) {
+AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config, const obs::Hub& obs) {
   const int n_sites = config.n_sites;
   NCS_ASSERT(config.n_hosts >= 1);
   NCS_ASSERT(n_sites >= 1 && n_sites <= config.n_hosts);
@@ -23,7 +23,8 @@ AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config) {
 
   for (int s = 0; s < n_sites; ++s)
     switches_.push_back(std::make_unique<Switch>(
-        engine, config.sw, n_sites == 1 ? "lan-switch" : "wan-switch" + std::to_string(s)));
+        engine, config.sw, n_sites == 1 ? "lan-switch" : "wan-switch" + std::to_string(s),
+        obs));
   left_port_.assign(static_cast<std::size_t>(n_sites), -1);
   right_port_.assign(static_cast<std::size_t>(n_sites), -1);
   next_label_.resize(static_cast<std::size_t>(n_sites - 1));
@@ -40,7 +41,7 @@ AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config) {
     const auto ui = static_cast<std::size_t>(i);
     links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
                                                        "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
+    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i), obs));
     // The switch port transmits down the link toward the NIC; the NIC
     // transmits up the link, arriving tagged with the same port index.
     Switch& sw = *switches_[static_cast<std::size_t>(site)];

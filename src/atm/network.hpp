@@ -126,7 +126,8 @@ struct FabricConfig {
 /// plus the switch chain the signaling plane and fault injector reach.
 class AtmFabric {
  public:
-  AtmFabric(sim::Engine& engine, FabricConfig config);
+  /// Every NIC and switch reports to `obs`.
+  AtmFabric(sim::Engine& engine, FabricConfig config, const obs::Hub& obs = obs::Hub::off());
 
   int n_hosts() const { return static_cast<int>(nics_.size()); }
   Nic& nic(int host) { return *nics_[static_cast<std::size_t>(host)]; }

@@ -1,5 +1,6 @@
 #include "atm/nic.hpp"
 
+#include <cstdlib>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -7,8 +8,18 @@
 
 namespace ncs::atm {
 
-Nic::Nic(sim::Engine& engine, NicParams params, std::string name)
-    : engine_(engine), params_(params), name_(std::move(name)) {
+namespace {
+/// Adapter "nic<r>" serves host p<r>.
+int host_of(const std::string& nic_name) { return std::atoi(nic_name.c_str() + 3); }
+}  // namespace
+
+Nic::Nic(sim::Engine& engine, NicParams params, std::string name, const obs::Hub& obs)
+    : engine_(engine),
+      params_(params),
+      name_(std::move(name)),
+      obs_(&obs),
+      tx_track_(host_of(name_), "/nic/tx"),
+      rx_track_(host_of(name_), "/nic/rx") {
   NCS_ASSERT(params_.tx_buffers >= 1);
   NCS_ASSERT(params_.io_buffer_size >= 1);
   // The legacy knob becomes the uniform component of the fault state, on
@@ -105,16 +116,16 @@ void Nic::submit_tx(VcId vc, Bytes chunk, bool end_of_message) {
   const TimePoint dma_done = tx_dma_.occupy(engine_.now(), dma_time);
   const Duration sar_time = params_.sar_setup + params_.sar_per_cell * burst.n_cells;
   const TimePoint sar_done = sar_.occupy(dma_done, sar_time);
-  if (prof_ != nullptr) {
-    prof_->record(obs::Layer::nic_dma, dma_time);
-    prof_->record(obs::Layer::nic_sar, sar_time);
-    prof_->record(obs::Layer::wire, tx_link_->tx_time(burst.wire_bytes()));
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    prof->record(obs::Layer::nic_dma, dma_time);
+    prof->record(obs::Layer::nic_sar, sar_time);
+    prof->record(obs::Layer::wire, tx_link_->tx_time(burst.wire_bytes()));
   }
-  if (trace_ != nullptr)
-    trace_->complete(tx_track_,
-                     "tx " + std::to_string(chunk_bytes) + "B x" +
-                         std::to_string(burst.n_cells),
-                     "nic", engine_.now(), sar_done - engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(tx_track_.id(*trace),
+                    "tx " + std::to_string(chunk_bytes) + "B x" +
+                        std::to_string(burst.n_cells),
+                    "nic", engine_.now(), sar_done - engine_.now());
 
   engine_.schedule_at(sar_done, [this, b = std::move(burst)]() mutable {
     CellSink* peer = peer_;
@@ -151,13 +162,13 @@ void Nic::firmware_tx(VcId vc, Bytes payload) {
   // queue behind in-flight host segmentation (and vice versa).
   const Duration sar_time = params_.sar_setup + params_.sar_per_cell * burst.n_cells;
   const TimePoint sar_done = sar_.occupy(engine_.now(), sar_time);
-  if (prof_ != nullptr) {
-    prof_->record(obs::Layer::nic_sar, sar_time);
-    prof_->record(obs::Layer::wire, tx_link_->tx_time(burst.wire_bytes()));
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    prof->record(obs::Layer::nic_sar, sar_time);
+    prof->record(obs::Layer::wire, tx_link_->tx_time(burst.wire_bytes()));
   }
-  if (trace_ != nullptr)
-    trace_->complete(tx_track_, "fw-tx x" + std::to_string(burst.n_cells), "nic",
-                     engine_.now(), sar_done - engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(tx_track_.id(*trace), "fw-tx x" + std::to_string(burst.n_cells), "nic",
+                    engine_.now(), sar_done - engine_.now());
   engine_.schedule_at(sar_done, [this, b = std::move(burst)]() mutable {
     CellSink* peer = peer_;
     const int port = peer_port_;
@@ -191,9 +202,9 @@ void Nic::accept(int /*port*/, Burst burst) {
           ++stats_.rx_errors;
           NCS_WARN("atm.nic", "%s: reassembly error: %s", name_.c_str(),
                    out->status().to_string().c_str());
-          if (trace_ != nullptr)
-            trace_->instant(rx_track_, "rx-error " + out->status().to_string(), "nic",
-                            engine_.now());
+          if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+            trace->instant(rx_track_.id(*trace), "rx-error " + out->status().to_string(), "nic",
+                           engine_.now());
           return false;
         }
         payload = std::move(out->value());
@@ -211,8 +222,8 @@ void Nic::accept(int /*port*/, Burst burst) {
       // Burst-mode stand-in for a CRC failure during reassembly.
       ++stats_.rx_errors;
       NCS_WARN("atm.nic", "%s: dropping damaged PDU (injected corruption)", name_.c_str());
-      if (trace_ != nullptr)
-        trace_->instant(rx_track_, "rx-error injected corruption", "nic", engine_.now());
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+        trace->instant(rx_track_.id(*trace), "rx-error injected corruption", "nic", engine_.now());
       return;
     }
     payload = std::move(burst.payload);
@@ -230,9 +241,9 @@ void Nic::accept(int /*port*/, Burst burst) {
       params_.dma_setup +
       Duration::for_bytes(static_cast<std::int64_t>(payload.size()), params_.dma_bandwidth_bps);
   const TimePoint done = rx_dma_.occupy(engine_.now(), dma_time);
-  if (trace_ != nullptr)
-    trace_->complete(rx_track_, "rx " + std::to_string(payload.size()) + "B", "nic",
-                     engine_.now(), done - engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(rx_track_.id(*trace), "rx " + std::to_string(payload.size()) + "B", "nic",
+                    engine_.now(), done - engine_.now());
   engine_.schedule_at(done, [this, vc = burst.vc, p = std::move(payload),
                              eom = burst.end_of_message]() mutable {
     if (vc.vpi == 0) {
@@ -257,13 +268,6 @@ void Nic::register_metrics(obs::MetricsRegistry& reg, const std::string& prefix)
   reg.counter(prefix + "/rx_chunks", &stats_.rx_chunks);
   reg.counter(prefix + "/rx_cells", &stats_.rx_cells);
   reg.counter(prefix + "/rx_errors", &stats_.rx_errors);
-}
-
-void Nic::set_trace(obs::TraceLog* trace, const std::string& prefix) {
-  trace_ = trace;
-  if (trace_ == nullptr) return;
-  tx_track_ = trace_->track(prefix + "/tx");
-  rx_track_ = trace_->track(prefix + "/rx");
 }
 
 }  // namespace ncs::atm

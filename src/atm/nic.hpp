@@ -27,9 +27,9 @@
 #include "common/time.hpp"
 #include "fault/faults.hpp"
 #include "net/link.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 
@@ -73,7 +73,13 @@ class Nic : public CellSink {
   /// (source vc as seen by this host, chunk payload, end-of-message flag)
   using RxHandler = std::function<void(VcId, Bytes, bool)>;
 
-  Nic(sim::Engine& engine, NicParams params, std::string name = "nic");
+  /// Observability through `obs`: "p<r>/nic/tx" and "p<r>/nic/rx" trace
+  /// tracks for adapter "nic<r>" (TX spans cover DMA+SAR per chunk, RX
+  /// spans the adapter->host DMA, plus error instants), and per-burst
+  /// pipeline stage durations (host DMA, i960 SAR, link serialization) into
+  /// Layer::nic_dma / nic_sar / wire — the Table 4 adapter-side breakdown.
+  Nic(sim::Engine& engine, NicParams params, std::string name = "nic",
+      const obs::Hub& obs = obs::Hub::off());
 
   /// Connects the transmit side: bursts go out on `tx_link` and arrive at
   /// `peer` (normally a switch port).
@@ -157,14 +163,8 @@ class Nic : public CellSink {
   /// Registers the adapter's counters under `prefix` (e.g. "p0/nic").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Creates "<prefix>/tx" and "<prefix>/rx" trace tracks: TX spans cover
-  /// DMA+SAR per chunk, RX spans the adapter->host DMA, plus error instants.
-  void set_trace(obs::TraceLog* trace, const std::string& prefix);
-
-  /// Per-burst pipeline stage durations (host DMA, i960 SAR, link
-  /// serialization) feed Layer::nic_dma / nic_sar / wire — the Table 4
-  /// adapter-side breakdown.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
+  /// The observability hub this adapter (and its firmware) reports to.
+  const obs::Hub& obs() const { return *obs_; }
 
  private:
   void free_tx_buffer();
@@ -204,10 +204,9 @@ class Nic : public CellSink {
   };
   std::vector<VcRange> vc_ranges_;
   std::map<VcId, RxHandler> vc_handlers_;
-  obs::TraceLog* trace_ = nullptr;
-  int tx_track_ = -1;
-  int rx_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track tx_track_;
+  obs::Track rx_track_;
   Stats stats_;
 };
 

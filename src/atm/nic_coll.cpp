@@ -33,7 +33,8 @@ NicCollEngine::NicCollEngine(sim::Engine& engine, Nic& nic, NicCollParams params
                                 params_.combine_per_cell *
                                     static_cast<std::int64_t>(1 + pdu.size() / 48);
                             const TimePoint done = fw_.occupy(engine_.now(), work);
-                            if (prof_ != nullptr) prof_->record(obs::Layer::nic_coll, work);
+                            if (obs::Profiler* prof = nic_.obs().prof; prof != nullptr)
+                              prof->record(obs::Layer::nic_coll, work);
                             engine_.schedule_at(done, [this, src, p = std::move(pdu)]() mutable {
                               process(src, std::move(p));
                             });
@@ -43,12 +44,13 @@ NicCollEngine::NicCollEngine(sim::Engine& engine, Nic& nic, NicCollParams params
 void NicCollEngine::program(int rank, int n_procs, int radix) {
   NCS_ASSERT(rank >= 0 && rank < n_procs);
   rank_ = rank;
+  track_ = obs::Track(rank, "/nic_coll");
   n_procs_ = n_procs;
   parent_ = coll::offload_parent(rank, radix);
   children_ = coll::offload_children(rank, n_procs, radix);
   armed_ = true;
   ++stats_.programs;
-  if (trace_ != nullptr) trace_->instant(track_, "program", "nic_coll", engine_.now());
+  trace_instant("program");
 }
 
 void NicCollEngine::teardown() {
@@ -56,13 +58,17 @@ void NicCollEngine::teardown() {
   armed_ = false;
   pending_.clear();
   ++stats_.teardowns;
-  if (trace_ != nullptr) trace_->instant(track_, "teardown", "nic_coll", engine_.now());
+  trace_instant("teardown");
+}
+
+void NicCollEngine::trace_instant(const char* what, const char* detail) {
+  if (obs::TraceLog* trace = nic_.obs().trace; trace != nullptr)
+    trace->instant(track_.id(*trace), std::string(what) + detail, "nic_coll", engine_.now());
 }
 
 void NicCollEngine::drop_late(const char* what) {
   ++stats_.late_drops;
-  if (trace_ != nullptr)
-    trace_->instant(track_, std::string("late-drop ") + what, "nic_coll", engine_.now());
+  trace_instant("late-drop ", what);
 }
 
 void NicCollEngine::contribute(std::uint64_t seq, CollKind kind, Bytes own) {
@@ -88,7 +94,7 @@ void NicCollEngine::abort_op(std::uint64_t seq) {
   pending_.erase(seq);
   if (seq >= floor_) floor_ = seq + 1;
   ++stats_.aborts;
-  if (trace_ != nullptr) trace_->instant(track_, "abort", "nic_coll", engine_.now());
+  trace_instant("abort");
 }
 
 void NicCollEngine::process(int src, Bytes pdu) {
@@ -158,7 +164,7 @@ void NicCollEngine::complete(std::uint64_t seq, CollKind kind, Bytes result,
   pending_.erase(seq);
   if (seq >= floor_) floor_ = seq + 1;
   ++stats_.completions;
-  if (trace_ != nullptr) trace_->instant(track_, "complete", "nic_coll", engine_.now());
+  trace_instant("complete");
   // Only the final result crosses the SBus: RX DMA, then the upcall.
   const TimePoint done = nic_.rx_dma_delay(result.size());
   if (completion_)
@@ -188,12 +194,6 @@ void NicCollEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.counter(prefix + "/completions", &stats_.completions);
   reg.counter(prefix + "/aborts", &stats_.aborts);
   reg.counter(prefix + "/late_drops", &stats_.late_drops);
-}
-
-void NicCollEngine::set_trace(obs::TraceLog* trace, const std::string& prefix) {
-  trace_ = trace;
-  if (trace_ == nullptr) return;
-  track_ = trace_->track(prefix);
 }
 
 }  // namespace ncs::atm

@@ -37,9 +37,9 @@
 #include "atm/nic.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 
@@ -62,6 +62,9 @@ class NicCollEngine {
   /// adapter->host RX DMA of the result (empty for barrier).
   using CompletionHandler = std::function<void(std::uint64_t seq, Bytes result)>;
 
+  /// Reports through the adapter's hub (nic.obs()): context instants on
+  /// the "p<rank>/nic_coll" trace track, firmware fold work into
+  /// Layer::nic_coll.
   NicCollEngine(sim::Engine& engine, Nic& nic, NicCollParams params,
                 std::string name = "nic-coll");
 
@@ -97,8 +100,6 @@ class NicCollEngine {
   std::size_t pending_ops() const { return pending_.size(); }
 
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
-  void set_trace(obs::TraceLog* trace, const std::string& prefix);
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
 
  private:
   struct Pending {
@@ -114,6 +115,8 @@ class NicCollEngine {
   void send(int dst, std::uint8_t msgkind, CollKind kind, std::uint64_t seq,
             BytesView payload);
   void drop_late(const char* what);
+  /// Firmware instant on this adapter's "p<rank>/nic_coll" trace track.
+  void trace_instant(const char* what, const char* detail = "");
 
   sim::Engine& engine_;
   Nic& nic_;
@@ -134,9 +137,7 @@ class NicCollEngine {
   sim::SerialResource fw_;
 
   CompletionHandler completion_;
-  obs::TraceLog* trace_ = nullptr;
-  int track_ = -1;
-  obs::Profiler* prof_ = nullptr;
+  obs::Track track_{-1, "/nic_coll"};  // "p<rank>/nic_coll" once programmed
   Stats stats_;
 };
 

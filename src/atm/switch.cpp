@@ -7,8 +7,14 @@
 
 namespace ncs::atm {
 
-Switch::Switch(sim::Engine& engine, SwitchParams params, std::string name)
-    : engine_(engine), params_(params), name_(std::move(name)) {}
+Switch::Switch(sim::Engine& engine, SwitchParams params, std::string name,
+               const obs::Hub& obs)
+    : engine_(engine), params_(params), name_(std::move(name)), obs_(&obs) {}
+
+int Switch::trace_track(obs::TraceLog& trace) {
+  if (trace_track_ < 0) trace_track_ = trace.track(name_.substr(name_.find('-') + 1));
+  return trace_track_;
+}
 
 int Switch::add_port(net::Link& out_link, CellSink& peer, int peer_port) {
   ports_.push_back(Port{&out_link, &peer, peer_port});
@@ -57,9 +63,9 @@ void Switch::accept(int in_port, Burst burst) {
     // Dead ingress: the port's receiver is dark; nothing gets in.
     ++fault_.stats().port_drops;
     ++stats_.port_drops;
-    if (trace_ != nullptr)
-      trace_->instant(trace_track_, "port-drop in p" + std::to_string(in_port), "atm",
-                      engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(trace_track(*trace), "port-drop in p" + std::to_string(in_port), "atm",
+                     engine_.now());
     return;
   }
   if (const auto lit = local_.find(burst.vc); lit != local_.end()) {
@@ -73,11 +79,11 @@ void Switch::accept(int in_port, Burst burst) {
     ++stats_.unroutable;
     NCS_WARN("atm.switch", "%s: no route for port %d vpi %u vci %u", name_.c_str(), in_port,
              burst.vc.vpi, burst.vc.vci);
-    if (trace_ != nullptr)
-      trace_->instant(trace_track_,
-                      "unroutable vc" + std::to_string(burst.vc.vpi) + "." +
-                          std::to_string(burst.vc.vci),
-                      "atm", engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(trace_track(*trace),
+                     "unroutable vc" + std::to_string(burst.vc.vpi) + "." +
+                         std::to_string(burst.vc.vci),
+                     "atm", engine_.now());
     return;
   }
   const auto [out_port, out_vc] = it->second;
@@ -86,18 +92,18 @@ void Switch::accept(int in_port, Burst burst) {
     // would. Upstream recovery is error control's job.
     ++fault_.stats().port_drops;
     ++stats_.port_drops;
-    if (trace_ != nullptr)
-      trace_->instant(trace_track_, "port-drop out p" + std::to_string(out_port), "atm",
-                      engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(trace_track(*trace), "port-drop out p" + std::to_string(out_port), "atm",
+                     engine_.now());
     return;
   }
   ++stats_.bursts;
   stats_.cells += burst.n_cells;
-  if (trace_ != nullptr)
-    trace_->complete(trace_track_,
-                     "fwd p" + std::to_string(in_port) + "->p" + std::to_string(out_port) +
-                         " x" + std::to_string(burst.n_cells),
-                     "atm", engine_.now(), params_.forward_latency);
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(trace_track(*trace),
+                    "fwd p" + std::to_string(in_port) + "->p" + std::to_string(out_port) +
+                        " x" + std::to_string(burst.n_cells),
+                    "atm", engine_.now(), params_.forward_latency);
 
   // Label rewriting (and, in detailed mode, per-cell header rewrite).
   burst.vc = out_vc;

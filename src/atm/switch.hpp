@@ -17,8 +17,8 @@
 #include "common/time.hpp"
 #include "fault/faults.hpp"
 #include "net/link.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace ncs::atm {
@@ -30,7 +30,11 @@ struct SwitchParams {
 
 class Switch : public CellSink {
  public:
-  Switch(sim::Engine& engine, SwitchParams params, std::string name = "switch");
+  /// Forwarding spans (cut-through latency per burst) and drop instants go
+  /// to `obs.trace`, on a track named after the switch without its
+  /// "lan-"/"wan-" scope ("switch", "switch<s>").
+  Switch(sim::Engine& engine, SwitchParams params, std::string name = "switch",
+         const obs::Hub& obs = obs::Hub::off());
 
   /// Adds an output port transmitting on `out_link` towards `peer`, which
   /// will see the burst arrive on its `peer_port`. Returns the port index.
@@ -73,13 +77,9 @@ class Switch : public CellSink {
   /// Registers the switch's counters under `prefix` (e.g. "switch").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Forwarding spans (cut-through latency per burst) go onto `track`.
-  void set_trace(obs::TraceLog* trace, int track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
-
  private:
+  int trace_track(obs::TraceLog& trace);
+
   struct Port {
     net::Link* link;
     CellSink* peer;
@@ -93,7 +93,7 @@ class Switch : public CellSink {
   std::map<std::pair<int, VcId>, std::pair<int, VcId>> routes_;
   std::map<VcId, LocalHandler> local_;
   fault::SwitchFault fault_;
-  obs::TraceLog* trace_ = nullptr;
+  const obs::Hub* obs_;
   int trace_track_ = -1;
   Stats stats_;
 };

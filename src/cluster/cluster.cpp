@@ -15,7 +15,7 @@ namespace ncs::cluster {
 
 namespace {
 
-/// Trace track and metrics prefix of a site switch: "switch" on a LAN,
+/// Metrics prefix of a site switch (also its trace track): "switch" on a LAN,
 /// "switch<s>" on a chain of sites.
 std::string switch_prefix(const atm::AtmFabric& fabric, int site) {
   return fabric.n_sites() == 1 ? "switch" : "switch" + std::to_string(site);
@@ -46,7 +46,7 @@ Cluster::Cluster(ClusterConfig config)
     // Per-rank seed offset so hosts don't share victim permutations.
     sp.smp.steal_seed =
         config_.steal_seed + static_cast<std::uint64_t>(r) * 0x9E3779B97F4A7C15;
-    hosts_.push_back(std::make_unique<mts::Scheduler>(engine_, sp));
+    hosts_.push_back(std::make_unique<mts::Scheduler>(engine_, sp, hub_));
   }
 
   switch (config_.network) {
@@ -68,7 +68,7 @@ Cluster::Cluster(ClusterConfig config)
         fc.n_sites = std::min(config_.wan_sites, config_.n_procs);
         fc.provision = config_.wan_provision;
       }
-      fabric_ = std::make_unique<atm::AtmFabric>(engine_, std::move(fc));
+      fabric_ = std::make_unique<atm::AtmFabric>(engine_, std::move(fc), hub_);
       break;
     }
   }
@@ -77,7 +77,7 @@ Cluster::Cluster(ClusterConfig config)
   // realised as a top-priority thread that owns the CPU until resume time:
   // nothing else dispatches, but the network (and NIC DMA) keeps moving —
   // exactly what a stalled workstation looks like from the wire.
-  injector_ = std::make_unique<fault::FaultInjector>(engine_);
+  injector_ = std::make_unique<fault::FaultInjector>(engine_, hub_);
   if (bus_ != nullptr) injector_->attach_link("ether", &bus_->fault());
   if (fabric_ != nullptr) {
     fabric_->for_each_link(
@@ -120,65 +120,37 @@ Cluster::~Cluster() {
   for (auto& n : nodes_) api::unregister_node(n.get());
 }
 
-void Cluster::enable_timeline() {
-  timeline_enabled_ = true;
-  for (auto& h : hosts_) h->set_timeline(&timeline_);
-}
+void Cluster::enable_timeline() { hub_.timeline = &timeline_; }
 
-void Cluster::enable_trace() {
-  trace_enabled_ = true;
-  for (auto& h : hosts_) h->set_trace(&trace_);
-  if (fabric_ != nullptr) {
-    for (int r = 0; r < config_.n_procs; ++r)
-      fabric_->nic(r).set_trace(&trace_, "p" + std::to_string(r) + "/nic");
-    for (int s = 0; s < fabric_->n_sites(); ++s)
-      fabric_->site_switch(s).set_trace(&trace_, trace_.track(switch_prefix(*fabric_, s)));
-  }
-  injector_->set_trace(&trace_);
-  // Runtime modules created later (nodes, TCP mesh) attach in init_*.
-}
+void Cluster::enable_trace() { hub_.trace = &trace_; }
 
 void Cluster::enable_profiling() {
   if (profiler_ != nullptr) return;
-  profiler_ = std::make_unique<obs::Profiler>();
   // The overlap fold needs activity intervals; one shared profiler is safe
   // because every host runs on the same deterministic engine clock.
+  profiler_ = std::make_unique<obs::Profiler>(hub_);
+  hub_.prof = profiler_.get();
   enable_timeline();
-  for (auto& h : hosts_) h->set_profiler(profiler_.get());
-  if (fabric_ != nullptr) {
-    for (int r = 0; r < config_.n_procs; ++r)
-      fabric_->nic(r).set_profiler(profiler_.get());
-  }
-  // Runtime modules created later (nodes) attach in init_*.
-  for (auto& n : nodes_) n->set_profiler(profiler_.get());
 }
 
 void Cluster::enable_telemetry() {
   if (telemetry_ != nullptr) return;
   config_.telemetry = true;
   enable_profiling();
-  telemetry_ = std::make_unique<obs::TelemetrySampler>(engine_, config_.telemetry_cfg);
+  telemetry_ = std::make_unique<obs::TelemetrySampler>(engine_, config_.telemetry_cfg, hub_);
   recorder_ =
-      std::make_unique<obs::FlightRecorder>(config_.telemetry_cfg.recorder_capacity);
+      std::make_unique<obs::FlightRecorder>(config_.telemetry_cfg.recorder_capacity, hub_);
   if (!config_.recorder_path.empty()) recorder_->arm(config_.recorder_path);
-  if (trace_enabled_) {
-    telemetry_->set_trace(&trace_);
-    recorder_->set_trace(&trace_);
-  }
+  hub_.recorder = recorder_.get();
   // Every rank's end-to-end fold lands in one cluster-wide sketch (the
-  // profiler is cluster-wide already); RMA completions likewise.
-  profiler_->set_latency_sketch(&telemetry_->sketch("mps/e2e"));
-  profiler_->set_recorder(recorder_.get());
-  injector_->set_recorder(recorder_.get());
-  // Runtime modules created later attach in init_*.
-  for (auto& n : nodes_) n->set_recorder(recorder_.get());
-  for (auto& e : rma_engines_)
-    e->set_latency_sketch(&telemetry_->sketch("rma/op"));
+  // profiler is cluster-wide already); "rma/op" follows in bind_telemetry
+  // once it is known whether the run has an RMA plane.
+  hub_.e2e_sketch = &telemetry_->sketch("mps/e2e");
 }
 
 bool Cluster::write_trace(const std::string& path) {
-  NCS_ASSERT_MSG(trace_enabled_, "write_trace without enable_trace");
-  if (timeline_enabled_) trace_.import_timeline(timeline_);
+  NCS_ASSERT_MSG(hub_.trace != nullptr, "write_trace without enable_trace");
+  if (hub_.timeline != nullptr) trace_.import_timeline(timeline_);
   return trace_.write_file(path);
 }
 
@@ -222,8 +194,8 @@ p4::Runtime& Cluster::init_p4() {
   }
   std::vector<mts::Scheduler*> scheds;
   for (auto& h : hosts_) scheds.push_back(h.get());
-  p4_ = std::make_unique<p4::Runtime>(engine_, scheds, *segnet_, config_.tcp, config_.costs);
-  if (trace_enabled_) p4_->mesh().set_trace(&trace_, "tcp");
+  p4_ = std::make_unique<p4::Runtime>(engine_, scheds, *segnet_, config_.tcp, config_.costs,
+                                      hub_);
   return *p4_;
 }
 
@@ -232,11 +204,7 @@ void Cluster::init_ncs_nsm() {
   for (int r = 0; r < config_.n_procs; ++r) {
     auto transport = std::make_unique<mps::P4Transport>(p4_->process(r));
     nodes_.push_back(std::make_unique<mps::Node>(host(r), r, config_.n_procs,
-                                                 std::move(transport), config_.ncs));
-    if (trace_enabled_)
-      nodes_.back()->set_trace(&trace_, "p" + std::to_string(r) + "/mps");
-    if (profiler_ != nullptr) nodes_.back()->set_profiler(profiler_.get());
-    if (recorder_ != nullptr) nodes_.back()->set_recorder(recorder_.get());
+                                                 std::move(transport), config_.ncs, hub_));
     api::register_node(nodes_.back().get());
   }
 }
@@ -255,38 +223,27 @@ void Cluster::init_ncs_hsm() {
     tp.chunk_size = config_.hsm_chunk;
     tp.costs = config_.costs;
     if (call_controller_ != nullptr) tp.signaling = &call_controller_->agent(r);
-    auto transport = std::make_unique<mps::AtmTransport>(host(r), fabric_->nic(r), tp);
+    auto transport =
+        std::make_unique<mps::AtmTransport>(host(r), fabric_->nic(r), tp, hub_);
     nodes_.push_back(std::make_unique<mps::Node>(host(r), r, config_.n_procs,
-                                                 std::move(transport), config_.ncs));
-    if (trace_enabled_)
-      nodes_.back()->set_trace(&trace_, "p" + std::to_string(r) + "/mps");
-    if (profiler_ != nullptr) nodes_.back()->set_profiler(profiler_.get());
-    if (recorder_ != nullptr) nodes_.back()->set_recorder(recorder_.get());
+                                                 std::move(transport), config_.ncs, hub_));
     api::register_node(nodes_.back().get());
     if (config_.rma_enabled) {
       rma_engines_.push_back(std::make_unique<rma::Engine>(
-          host(r), fabric_->nic(r), r, config_.n_procs, config_.rma));
-      if (trace_enabled_)
-        rma_engines_.back()->set_trace(&trace_, "p" + std::to_string(r) + "/rma");
-      if (profiler_ != nullptr) rma_engines_.back()->set_profiler(profiler_.get());
-      if (telemetry_ != nullptr)
-        rma_engines_.back()->set_latency_sketch(&telemetry_->sketch("rma/op"));
+          host(r), fabric_->nic(r), r, config_.n_procs, config_.rma, hub_));
       nodes_.back()->set_rma(rma_engines_.back().get());
     }
     if (config_.ncs.coll.nic_offload) {
       coll_ports_.push_back(std::make_unique<mps::NicCollPort>(
           *nodes_.back(), fabric_->nic(r), config_.nic_coll));
-      mps::NicCollPort* port = coll_ports_.back().get();
-      if (trace_enabled_)
-        port->engine().set_trace(&trace_, "p" + std::to_string(r) + "/nic_coll");
-      if (profiler_ != nullptr) port->engine().set_profiler(profiler_.get());
-      nodes_.back()->set_coll_offload(port);
+      nodes_.back()->set_coll_offload(coll_ports_.back().get());
     }
   }
 }
 
 void Cluster::bind_telemetry() {
   obs::TelemetrySampler& ts = *telemetry_;
+  if (!rma_engines_.empty()) hub_.rma_sketch = &ts.sketch("rma/op");
 
   // Gauge probes over live module state (cheap reads, one sample per tick).
   for (int r = 0; r < config_.n_procs; ++r) {
@@ -426,7 +383,7 @@ Duration Cluster::run(std::function<void(int)> main_fn) {
   engine_.run();
   NCS_ASSERT_MSG(mains_remaining_ == 0,
                  "a main thread never finished (deadlocked waiting on a message?)");
-  if (timeline_enabled_) timeline_.finish(engine_.now());
+  if (hub_.timeline != nullptr) timeline_.finish(engine_.now());
   if (!config_.trace_path.empty()) write_trace(config_.trace_path);
   if (!config_.report_path.empty()) {
     std::ofstream f(config_.report_path);

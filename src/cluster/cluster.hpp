@@ -13,6 +13,7 @@
 #include "core/mps/coll_offload.hpp"
 #include "core/mps/node.hpp"
 #include "fault/injector.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
@@ -35,15 +36,19 @@ class Cluster {
   int n_procs() const { return config_.n_procs; }
   mts::Scheduler& host(int rank) { return *hosts_[static_cast<std::size_t>(rank)]; }
 
-  /// Call before init_*/run to record per-thread activity timelines.
+  // Observability. Every module reports through the cluster's one obs::Hub,
+  // so each enable_* below only turns a sink on in the hub: it may be
+  // called before or after init_*, and reaches every module either way.
+
+  /// Records per-thread activity timelines.
   void enable_timeline();
   sim::Timeline& timeline() { return timeline_; }
 
-  /// Call before init_*/run to record a Chrome-trace event log: per-thread
-  /// scheduler spans, MPS transfer spans, NIC/switch pipeline spans, and
-  /// protocol instants (TCP retransmits, NCS flow-control stalls, ...).
+  /// Records a Chrome-trace event log: per-thread scheduler spans, MPS
+  /// transfer spans, NIC/switch pipeline spans, and protocol instants (TCP
+  /// retransmits, NCS flow-control stalls, ...).
   void enable_trace();
-  obs::TraceLog* trace() { return trace_enabled_ ? &trace_ : nullptr; }
+  obs::TraceLog* trace() { return hub_.trace; }
 
   /// Writes the accumulated trace to `path` (Chrome Trace Event JSON —
   /// loads in ui.perfetto.dev / chrome://tracing). When the timeline is
@@ -52,21 +57,20 @@ class Cluster {
   /// be written.
   bool write_trace(const std::string& path);
 
-  /// Call before init_*/run to attribute where message time goes: one
-  /// cluster-wide Profiler collects per-layer latency histograms (message
-  /// lifecycle legs, NIC DMA/SAR/wire, flow-control stalls, ...) from every
-  /// host, node and NIC. Implies enable_timeline() so per-host
-  /// compute/communicate overlap can be folded from activity intervals.
+  /// Attributes where message time goes: one cluster-wide Profiler
+  /// collects per-layer latency histograms (message lifecycle legs, NIC
+  /// DMA/SAR/wire, flow-control stalls, ...) from every host, node and NIC.
+  /// Implies enable_timeline() so per-host compute/communicate overlap can
+  /// be folded from activity intervals.
   void enable_profiling();
   obs::Profiler* profiler() { return profiler_.get(); }
 
-  /// Call before init_*/run to turn on the live telemetry plane (implies
-  /// enable_profiling()): a TelemetrySampler ticks every
-  /// config.telemetry_cfg.period, snapshotting windowed latency sketches,
-  /// queue/credit gauges and SLO grades; a FlightRecorder collects recent
-  /// moments per host and dumps on the first failure when
-  /// config.recorder_path is set. Construction-time config.telemetry calls
-  /// this automatically.
+  /// Turns on the live telemetry plane (implies enable_profiling()): a
+  /// TelemetrySampler ticks every config.telemetry_cfg.period, snapshotting
+  /// windowed latency sketches, queue/credit gauges and SLO grades; a
+  /// FlightRecorder collects recent moments per host and dumps on the first
+  /// failure when config.recorder_path is set. Construction-time
+  /// config.telemetry calls this automatically.
   void enable_telemetry();
   obs::TelemetrySampler* telemetry() { return telemetry_.get(); }
   obs::FlightRecorder* recorder() { return recorder_.get(); }
@@ -132,13 +136,14 @@ class Cluster {
 
   ClusterConfig config_;
   sim::Engine engine_;
+  // The sinks, then the hub pointing at the ones turned on: declared
+  // before every module, so all of them outlive every module.
   sim::Timeline timeline_;
-  bool timeline_enabled_ = false;
   obs::TraceLog trace_;
-  bool trace_enabled_ = false;
   std::unique_ptr<obs::Profiler> profiler_;
   std::unique_ptr<obs::TelemetrySampler> telemetry_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
+  obs::Hub hub_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   /// Mains still running; run() counts it down and the telemetry sampler's
   /// keep_going predicate reads it (a member so the periodic event can

@@ -6,6 +6,7 @@
 #include "coll/algorithms.hpp"
 #include "coll/offload.hpp"
 #include "common/assert.hpp"
+#include "obs/hub.hpp"
 #include "obs/prof.hpp"
 
 namespace ncs::coll {
@@ -16,7 +17,7 @@ class Engine::Timed {
       : engine_(engine), op_(op), algorithm_(algorithm), began_(engine.fabric_.now()) {}
 
   ~Timed() {
-    obs::Profiler* prof = engine_.prof_;
+    obs::Profiler* prof = engine_.obs_->prof;
     if (prof == nullptr) return;
     const Duration elapsed = engine_.fabric_.now() - began_;
     prof->record(obs::Layer::coll, elapsed);

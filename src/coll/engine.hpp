@@ -22,7 +22,7 @@
 #include "coll/select.hpp"
 
 namespace ncs::obs {
-class Profiler;
+struct Hub;
 }
 
 namespace ncs::coll {
@@ -31,7 +31,10 @@ class OffloadPort;
 
 class Engine {
  public:
-  Engine(Fabric& fabric, Params params) : fabric_(fabric), params_(params) {}
+  /// Samples land in `obs.prof`: Layer::coll plus a per-"op/algorithm"
+  /// histogram.
+  Engine(Fabric& fabric, Params params, const obs::Hub& obs)
+      : fabric_(fabric), params_(params), obs_(&obs) {}
 
   const Params& params() const { return params_; }
 
@@ -39,9 +42,6 @@ class Engine {
   Algorithm algorithm_for(Op op, std::size_t bytes) const {
     return select(op, fabric_.n_procs(), bytes, params_);
   }
-
-  /// Samples land in Layer::coll plus a per-"op/algorithm" histogram.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
 
   /// Attaches the NIC-offload port (coll/offload.hpp). Attachment is part
   /// of cluster configuration and must be uniform across the group: with
@@ -89,7 +89,7 @@ class Engine {
 
   Fabric& fabric_;
   Params params_;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
   OffloadPort* offload_ = nullptr;
   /// Offloaded ops burn one group-wide sequence number each; every rank
   /// must attempt the same set of offloaded ops in the same order.

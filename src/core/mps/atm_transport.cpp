@@ -8,8 +8,9 @@
 
 namespace ncs::mps {
 
-AtmTransport::AtmTransport(mts::Scheduler& host, atm::Nic& nic, Params params)
-    : host_(host), nic_(nic), params_(params), rx_(host) {
+AtmTransport::AtmTransport(mts::Scheduler& host, atm::Nic& nic, Params params,
+                           const obs::Hub& obs)
+    : host_(host), nic_(nic), params_(params), rx_(host), obs_(&obs) {
   NCS_ASSERT_MSG(params_.chunk_size >= kHeaderBytes, "chunk must hold the NCS header");
   NCS_ASSERT_MSG(params_.chunk_size <= nic.params().io_buffer_size,
                  "chunk larger than a NIC I/O buffer");
@@ -41,9 +42,9 @@ void AtmTransport::wait_for_tx_buffer() {
     nic_.notify_tx_buffer([this, self] { host_.unblock(self); });
     host_.block(sim::Activity::communicate);
   }
-  if (prof_ != nullptr) {
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
     const Duration stalled = host_.engine().now() - started;
-    if (stalled > Duration::zero()) prof_->record(obs::Layer::tx_buffer_stall, stalled);
+    if (stalled > Duration::zero()) prof->record(obs::Layer::tx_buffer_stall, stalled);
   }
 }
 

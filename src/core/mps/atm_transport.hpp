@@ -19,6 +19,7 @@
 #include "atm/signaling.hpp"
 #include "core/mps/transport.hpp"
 #include "core/mts/sync.hpp"
+#include "obs/hub.hpp"
 #include "proto/costs.hpp"
 
 namespace ncs::mps {
@@ -42,7 +43,9 @@ class AtmTransport final : public Transport {
     Duration svc_retry_backoff = Duration::milliseconds(10);
   };
 
-  AtmTransport(mts::Scheduler& host, atm::Nic& nic, Params params);
+  /// NIC I/O-buffer backpressure stalls feed Layer::tx_buffer_stall.
+  AtmTransport(mts::Scheduler& host, atm::Nic& nic, Params params,
+               const obs::Hub& obs = obs::Hub::off());
 
   void submit(const Message& msg) override;
   /// Rendezvous bulk path: copies up to a whole I/O buffer per trap
@@ -57,9 +60,6 @@ class AtmTransport final : public Transport {
   void set_frame_error_handler(std::function<void(int)> handler) override {
     frame_error_handler_ = std::move(handler);
   }
-  /// Records NIC I/O-buffer backpressure stalls into Layer::tx_buffer_stall.
-  void set_profiler(obs::Profiler* prof) override { prof_ = prof; }
-
   struct Stats {
     std::uint64_t tx_chunks = 0;
     std::uint64_t rx_chunks = 0;
@@ -90,7 +90,7 @@ class AtmTransport final : public Transport {
   std::map<atm::VcId, Bytes> partial_;  // per-circuit reassembly
   std::map<int, atm::VcId> svc_to_;     // destination -> established SVC
   std::function<void(int)> frame_error_handler_;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
 
   Stats stats_;
 };

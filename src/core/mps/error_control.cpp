@@ -16,8 +16,13 @@ const char* to_string(ErrorControlKind k) {
 }
 
 ErrorControl::ErrorControl(sim::Engine& engine, ErrorControlParams params,
-                           std::function<void(Message)> retransmit_fn)
-    : engine_(engine), params_(params), retransmit_fn_(std::move(retransmit_fn)) {
+                           std::function<void(Message)> retransmit_fn, const obs::Hub& obs,
+                           int rank)
+    : engine_(engine),
+      params_(params),
+      obs_(&obs),
+      track_(rank, "/mps/send"),
+      retransmit_fn_(std::move(retransmit_fn)) {
   NCS_ASSERT(params_.kind == ErrorControlKind::none || retransmit_fn_ != nullptr);
 }
 
@@ -44,23 +49,23 @@ void ErrorControl::arm_timer(const Key& key) {
       ++stats_.give_ups;
       NCS_WARN("ncs.ec", "giving up on msg seq %u to %d after %d attempts", key.seq, key.peer,
                it->second.attempts);
-      if (trace_ != nullptr)
-        trace_->instant(trace_track_,
-                        "give-up seq" + std::to_string(key.seq) + "->p" +
-                            std::to_string(key.peer),
-                        "mps", engine_.now());
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+        trace->instant(track_.id(*trace),
+                       "give-up seq" + std::to_string(key.seq) + "->p" +
+                           std::to_string(key.peer),
+                       "mps", engine_.now());
       Message failed = std::move(it->second.msg);
       in_flight_.erase(it);
       if (give_up_handler_) give_up_handler_(failed);
       return;
     }
     ++stats_.retransmits;
-    if (trace_ != nullptr)
-      trace_->instant(trace_track_,
-                      "retx seq" + std::to_string(key.seq) + "->p" + std::to_string(key.peer),
-                      "mps", engine_.now());
-    if (prof_ != nullptr)
-      prof_->record(obs::Layer::retx_delay, engine_.now() - it->second.first_sent);
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(track_.id(*trace),
+                     "retx seq" + std::to_string(key.seq) + "->p" + std::to_string(key.peer),
+                     "mps", engine_.now());
+    if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+      prof->record(obs::Layer::retx_delay, engine_.now() - it->second.first_sent);
     retransmit_fn_(it->second.msg);
   });
 }

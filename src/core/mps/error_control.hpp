@@ -20,9 +20,9 @@
 
 #include "core/mps/message.hpp"
 #include "core/mts/scheduler.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace ncs::mps {
@@ -40,9 +40,12 @@ struct ErrorControlParams {
 class ErrorControl {
  public:
   /// `retransmit_fn` re-queues a message for (re)transmission; it is
-  /// invoked from engine context and must not block.
+  /// invoked from engine context and must not block. Retransmit and
+  /// give-up instants go onto rank's "p<rank>/mps/send" trace track;
+  /// first-transmission -> retransmission delays feed Layer::retx_delay.
   ErrorControl(sim::Engine& engine, ErrorControlParams params,
-               std::function<void(Message)> retransmit_fn);
+               std::function<void(Message)> retransmit_fn,
+               const obs::Hub& obs = obs::Hub::off(), int rank = -1);
 
   bool wants_acks() const { return params_.kind == ErrorControlKind::retransmit; }
 
@@ -84,15 +87,6 @@ class ErrorControl {
   /// Registers the policy's counters under `prefix` (e.g. "p0/mps/ec").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Retransmit / give-up instants are emitted onto `track`.
-  void set_trace(obs::TraceLog* trace, int track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
-
-  /// First-transmission -> retransmission delays feed Layer::retx_delay.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
-
  private:
   struct Key {
     int peer;
@@ -110,9 +104,8 @@ class ErrorControl {
 
   sim::Engine& engine_;
   ErrorControlParams params_;
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track track_;
   std::function<void(Message)> retransmit_fn_;
   std::function<void(const Message&)> give_up_handler_;
 

@@ -13,8 +13,9 @@ const char* to_string(FlowControlKind k) {
   return "?";
 }
 
-FlowControl::FlowControl(mts::Scheduler& sched, FlowControlParams params)
-    : sched_(sched), params_(params) {
+FlowControl::FlowControl(mts::Scheduler& sched, FlowControlParams params,
+                         const obs::Hub& obs, int rank)
+    : sched_(sched), params_(params), obs_(&obs), track_(rank, "/mps/send") {
   NCS_ASSERT(params_.window >= 1);
   NCS_ASSERT(params_.rate_bytes_per_sec > 0);
 }
@@ -49,11 +50,13 @@ void FlowControl::before_send(const Message& msg) {
       }
       const Duration stalled = sched_.engine().now() - started;
       stats_.time_blocked += stalled;
-      if (trace_ != nullptr && stalled > Duration::zero())
-        trace_->complete(trace_track_, "fc-stall->p" + std::to_string(msg.to_process), "mps",
-                         started, stalled);
-      if (prof_ != nullptr && stalled > Duration::zero())
-        prof_->record(obs::Layer::fc_stall, stalled);
+      if (stalled > Duration::zero()) {
+        if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+          trace->complete(track_.id(*trace), "fc-stall->p" + std::to_string(msg.to_process),
+                          "mps", started, stalled);
+        if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+          prof->record(obs::Layer::fc_stall, stalled);
+      }
       ++out;
       ++total_outstanding_;
       return;
@@ -74,9 +77,10 @@ void FlowControl::before_send(const Message& msg) {
           now = sched_.engine().now();
         } while (next_free_ > now);
         stats_.time_blocked += now - started;
-        if (trace_ != nullptr)
-          trace_->complete(trace_track_, "rate-pace", "mps", started, now - started);
-        if (prof_ != nullptr) prof_->record(obs::Layer::fc_stall, now - started);
+        if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+          trace->complete(track_.id(*trace), "rate-pace", "mps", started, now - started);
+        if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+          prof->record(obs::Layer::fc_stall, now - started);
       }
       const Duration occupancy =
           Duration::seconds(static_cast<double>(msg.data.size()) / params_.rate_bytes_per_sec);

@@ -17,9 +17,9 @@
 #include "common/peer_map.hpp"
 #include "core/mps/message.hpp"
 #include "core/mts/sync.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 
 namespace ncs::mps {
 
@@ -37,7 +37,10 @@ struct FlowControlParams {
 
 class FlowControl {
  public:
-  FlowControl(mts::Scheduler& sched, FlowControlParams params);
+  /// Stall spans (window stalls, rate pacing) go onto rank's
+  /// "p<rank>/mps/send" trace track and feed Layer::fc_stall.
+  FlowControl(mts::Scheduler& sched, FlowControlParams params,
+              const obs::Hub& obs = obs::Hub::off(), int rank = -1);
 
   /// Acknowledgement traffic is only generated when a policy consumes it.
   bool wants_acks() const { return params_.kind == FlowControlKind::window; }
@@ -72,21 +75,11 @@ class FlowControl {
   /// Registers the policy's counters under `prefix` (e.g. "p0/mps/flow").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Stall spans are emitted onto `track` of `trace` (nullptr disables).
-  void set_trace(obs::TraceLog* trace, int track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
-
-  /// Blocked spans (window stalls, rate pacing) feed Layer::fc_stall.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
-
  private:
   mts::Scheduler& sched_;
   FlowControlParams params_;
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track track_;
 
   // window state, created per destination on its first windowed send.
   // Waiters are kept per destination: windows are per-destination, so an

@@ -57,10 +57,8 @@ void Node::set_rma(rma::Engine* engine) {
     // two-sided delivery failures (Section 3.1's exception service).
     rma_->set_exception_hook([this](const NcsException& e) {
       ++stats_.exceptions;
-      if (recorder_ != nullptr)
-        recorder_->trigger(rank_, obs::FlightRecorder::EntryKind::exception,
-                           host_.engine().now(), to_string(e.kind()), e.peer(),
-                           e.seq());
+      trigger_recorder(obs::FlightRecorder::EntryKind::exception, to_string(e.kind()),
+                       e.peer(), e.seq());
       if (exception_handler_) exception_handler_(e.kind(), e.peer(), e.seq());
     });
   }
@@ -72,7 +70,7 @@ rma::Engine& Node::rma() {
 }
 
 Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transport> transport,
-           Options options)
+           Options options, const obs::Hub& obs)
     : host_(host),
       rank_(rank),
       n_procs_(n_procs),
@@ -82,13 +80,17 @@ Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transpor
       submit_mutex_(host),
       send_queue_(host),
       retx_queue_(host),
-      fc_(host, options.flow),
-      ec_(host.engine(), options.error, [this](Message m) { retx_queue_.push(std::move(m)); }) {
+      fc_(host, options.flow, obs, rank),
+      ec_(host.engine(), options.error, [this](Message m) { retx_queue_.push(std::move(m)); },
+          obs, rank),
+      obs_(&obs),
+      send_track_(rank, "/mps/send"),
+      recv_track_(rank, "/mps/recv") {
   NCS_ASSERT(transport_ != nullptr);
   NCS_ASSERT(rank >= 0 && rank < n_procs);
 
   coll_fabric_ = std::make_unique<CollFabric>(*this);
-  coll_ = std::make_unique<coll::Engine>(*coll_fabric_, options_.coll);
+  coll_ = std::make_unique<coll::Engine>(*coll_fabric_, options_.coll, obs);
 
   proto_ = std::make_unique<ProtoEngine>(
       host_, *transport_, fc_, ec_, options_.proto, rank_,
@@ -105,12 +107,12 @@ Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transpor
               [this](int dst) { send_queue_.push(SendRequest{Message{}, nullptr, dst}); },
           .exception =
               [this](Exception kind, int peer, std::uint32_t seq) {
-                if (recorder_ != nullptr)
-                  recorder_->trigger(rank_, obs::FlightRecorder::EntryKind::exception,
-                                     host_.engine().now(), to_string(kind), peer, seq);
+                trigger_recorder(obs::FlightRecorder::EntryKind::exception, to_string(kind),
+                                 peer, seq);
                 if (exception_handler_) exception_handler_(kind, peer, seq);
               },
-      });
+      },
+      obs);
 
   // System threads (paper Fig 8). High priority so protocol processing
   // preempts queued compute work at dispatch points.
@@ -134,17 +136,14 @@ Node::Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transpor
   ec_.set_give_up_handler([this](const Message& m) {
     if (!ProtoEngine::is_frame(m) || ProtoEngine::frame_takes_credit(m))
       fc_.on_ack(m.to_process);
-    if (recorder_ != nullptr)
-      recorder_->trigger(rank_, obs::FlightRecorder::EntryKind::give_up,
-                         host_.engine().now(), "ec_give_up", m.to_process, m.seq);
+    trigger_recorder(obs::FlightRecorder::EntryKind::give_up, "ec_give_up", m.to_process,
+                     m.seq);
     if (exception_handler_)
       exception_handler_(Exception::message_timeout, m.to_process, m.seq);
   });
   transport_->set_frame_error_handler([this](int peer) {
-    if (recorder_ != nullptr)
-      recorder_->trigger(rank_, obs::FlightRecorder::EntryKind::exception,
-                         host_.engine().now(), to_string(Exception::frame_error), peer,
-                         0);
+    trigger_recorder(obs::FlightRecorder::EntryKind::exception,
+                     to_string(Exception::frame_error), peer, 0);
     if (exception_handler_) exception_handler_(Exception::frame_error, peer, 0);
   });
 }
@@ -186,7 +185,8 @@ void Node::send(int from_thread, int to_thread, int to_process, BytesView data) 
               next_seq_[to_process]++, to_bytes(data)};
   ++stats_.sends;
   stats_.bytes_sent += data.size();
-  if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+    prof->on_enqueue(key_of(msg), host_.engine().now());
 
   // Wake the send thread and block until it completes the hand-off —
   // the paper's NCS_send semantics.
@@ -201,9 +201,8 @@ Message Node::recv_matching(const Pattern& pattern) {
   } catch (const NcsException& e) {
     ++stats_.exceptions;
     NCS_WARN("ncs", "node %d recv raised %s", rank_, e.what());
-    if (recorder_ != nullptr)
-      recorder_->trigger(rank_, obs::FlightRecorder::EntryKind::exception,
-                         host_.engine().now(), to_string(e.kind()), e.peer(), e.seq());
+    trigger_recorder(obs::FlightRecorder::EntryKind::exception, to_string(e.kind()), e.peer(),
+                     e.seq());
     if (exception_handler_) exception_handler_(e.kind(), e.peer(), e.seq());
     throw;
   }
@@ -228,15 +227,15 @@ Bytes Node::recv(int from_thread, int from_process, int to_thread, int* src_thre
 
 void Node::note_received(const Message& msg, TimePoint wait_began) {
   const TimePoint now = host_.engine().now();
-  if (trace_ != nullptr) {
-    trace_->complete(recv_track_,
-                     "recv p" + std::to_string(msg.from_process) + " " +
-                         std::to_string(msg.data.size()) + "B",
-                     "mps", wait_began, now - wait_began);
-    trace_->flow_end(recv_track_, "msg", "flow", midpoint(wait_began, now),
-                     obs::msg_flow_id(msg.from_process, msg.to_process, msg.seq));
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
+    trace->complete(recv_track_.id(*trace),
+                    "recv p" + std::to_string(msg.from_process) + " " +
+                        std::to_string(msg.data.size()) + "B",
+                    "mps", wait_began, now - wait_began);
+    trace->flow_end(recv_track_.id(*trace), "msg", "flow", midpoint(wait_began, now),
+                    obs::msg_flow_id(msg.from_process, msg.to_process, msg.seq));
   }
-  if (prof_ != nullptr) prof_->on_wakeup(key_of(msg), now);
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) prof->on_wakeup(key_of(msg), now);
 }
 
 void Node::bcast(int from_thread, std::span<const Endpoint> destinations, BytesView data) {
@@ -251,7 +250,8 @@ void Node::bcast(int from_thread, std::span<const Endpoint> destinations, BytesV
     Message msg{rank_, from_thread, ep.process, ep.thread,
                 next_seq_[ep.process]++, to_bytes(data)};
     stats_.bytes_sent += data.size();
-    if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
+    if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+      prof->on_enqueue(key_of(msg), host_.engine().now());
     send_queue_.push(
         SendRequest{std::move(msg), i + 1 == destinations.size() ? &done : nullptr});
   }
@@ -279,7 +279,8 @@ void Node::collective_send(int to_process, BytesView data, bool wait) {
   Message msg{rank_, kCollectiveThread, to_process, kCollectiveThread,
               next_seq_[to_process]++, to_bytes(data)};
   stats_.bytes_sent += data.size();
-  if (prof_ != nullptr) prof_->on_enqueue(key_of(msg), host_.engine().now());
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+    prof->on_enqueue(key_of(msg), host_.engine().now());
   if (!wait) {
     // Queued fan-out: the send system thread drains the batch while the
     // algorithm moves on (a later hand-off or receive provides the sync).
@@ -360,23 +361,10 @@ void Node::register_metrics(obs::MetricsRegistry& reg, const std::string& prefix
   if (proto_->enabled()) proto_->register_metrics(reg, prefix + "/proto");
 }
 
-void Node::set_trace(obs::TraceLog* trace, const std::string& prefix) {
-  trace_ = trace;
-  if (trace_ == nullptr) return;
-  send_track_ = trace_->track(prefix + "/send");
-  recv_track_ = trace_->track(prefix + "/recv");
-  fc_.set_trace(trace_, send_track_);
-  ec_.set_trace(trace_, send_track_);
-  proto_->set_trace(trace_, send_track_, recv_track_);
-}
-
-void Node::set_profiler(obs::Profiler* prof) {
-  prof_ = prof;
-  fc_.set_profiler(prof);
-  ec_.set_profiler(prof);
-  transport_->set_profiler(prof);
-  coll_->set_profiler(prof);
-  proto_->set_profiler(prof);
+void Node::trigger_recorder(obs::FlightRecorder::EntryKind kind, const std::string& what,
+                            int peer, std::uint32_t seq) {
+  if (obs::FlightRecorder* recorder = obs_->recorder; recorder != nullptr)
+    recorder->trigger(rank_, kind, host_.engine().now(), what, peer, seq);
 }
 
 void Node::submit_locked(const Message& msg) {
@@ -403,28 +391,30 @@ void Node::send_thread_main() {
                           sim::Activity::communicate);
       ++stats_.local_deliveries;
       const TimePoint delivered = host_.engine().now();
-      if (prof_ != nullptr) {
+      if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
         // No flow control or network leg locally: the copy is the whole
         // transport stage, and delivery coincides with the hand-off.
         const obs::Profiler::MsgKey k = key_of(req.msg);
-        prof_->on_dequeue(k, began);
-        prof_->on_admit(k, began);
-        prof_->on_handoff(k, delivered);
-        prof_->on_deliver(k, delivered);
+        prof->on_dequeue(k, began);
+        prof->on_admit(k, began);
+        prof->on_handoff(k, delivered);
+        prof->on_deliver(k, delivered);
       }
-      if (trace_ != nullptr) {
-        trace_->complete(send_track_, "local " + std::to_string(req.msg.data.size()) + "B",
-                         "mps", began, delivered - began);
-        trace_->flow_start(send_track_, "msg", "flow", midpoint(began, delivered),
-                           obs::msg_flow_id(req.msg.from_process, req.msg.to_process,
-                                            req.msg.seq));
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
+        trace->complete(send_track_.id(*trace),
+                        "local " + std::to_string(req.msg.data.size()) + "B", "mps", began,
+                        delivered - began);
+        trace->flow_start(send_track_.id(*trace), "msg", "flow", midpoint(began, delivered),
+                          obs::msg_flow_id(req.msg.from_process, req.msg.to_process,
+                                           req.msg.seq));
       }
       mailbox_.deliver(std::move(req.msg));
       if (req.done != nullptr) req.done->set();
       continue;
     }
     const bool is_control = req.msg.to_thread == kControlThread;
-    if (prof_ != nullptr && !is_control) prof_->on_dequeue(key_of(req.msg), began);
+    if (obs::Profiler* prof = obs_->prof; prof != nullptr && !is_control)
+      prof->on_dequeue(key_of(req.msg), began);
     if (!is_control && proto_->enabled()) {
       if (proto_->use_rendezvous(req.msg.data.size())) {
         proto_->rendezvous(req.msg);
@@ -443,21 +433,23 @@ void Node::send_thread_main() {
     }
     if (!is_control) {
       fc_.before_send(req.msg);
-      if (prof_ != nullptr) prof_->on_admit(key_of(req.msg), host_.engine().now());
+      if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+        prof->on_admit(key_of(req.msg), host_.engine().now());
     }
     submit_locked(req.msg);
     if (!is_control) ec_.on_sent(req.msg);
     if (!is_control) {
       const TimePoint ended = host_.engine().now();
-      if (prof_ != nullptr) prof_->on_handoff(key_of(req.msg), ended);
-      if (trace_ != nullptr) {
-        trace_->complete(send_track_,
-                         "send->p" + std::to_string(req.msg.to_process) + " " +
-                             std::to_string(req.msg.data.size()) + "B",
-                         "mps", began, ended - began);
-        trace_->flow_start(send_track_, "msg", "flow", midpoint(began, ended),
-                           obs::msg_flow_id(req.msg.from_process, req.msg.to_process,
-                                            req.msg.seq));
+      if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+        prof->on_handoff(key_of(req.msg), ended);
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
+        trace->complete(send_track_.id(*trace),
+                        "send->p" + std::to_string(req.msg.to_process) + " " +
+                            std::to_string(req.msg.data.size()) + "B",
+                        "mps", began, ended - began);
+        trace->flow_start(send_track_.id(*trace), "msg", "flow", midpoint(began, ended),
+                          obs::msg_flow_id(req.msg.from_process, req.msg.to_process,
+                                           req.msg.seq));
       }
     }
     if (req.done != nullptr) req.done->set();
@@ -490,12 +482,13 @@ void Node::recv_thread_main() {
 }
 
 void Node::deliver_from_network(Message msg) {
-  if (trace_ != nullptr)
-    trace_->instant(recv_track_,
-                    "deliver p" + std::to_string(msg.from_process) + " " +
-                        std::to_string(msg.data.size()) + "B",
-                    "mps", host_.engine().now());
-  if (prof_ != nullptr) prof_->on_deliver(key_of(msg), host_.engine().now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->instant(recv_track_.id(*trace),
+                   "deliver p" + std::to_string(msg.from_process) + " " +
+                       std::to_string(msg.data.size()) + "B",
+                   "mps", host_.engine().now());
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+    prof->on_deliver(key_of(msg), host_.engine().now());
   mailbox_.deliver(std::move(msg));
 }
 

@@ -71,10 +71,19 @@ class Node {
   };
 
   /// NCS_init: binds a transport and spawns the system threads.
+  /// Observability through `obs`: per-transfer spans (flow-control stalls
+  /// and retransmits included) on the "p<rank>/mps/send" trace track and
+  /// delivery instants on "p<rank>/mps/recv", each data message carrying a
+  /// Chrome flow pair (id = msg_flow_id) so Perfetto draws an arrow from
+  /// the send span to the recv span on the destination host; every data
+  /// message's lifecycle (enqueue/dequeue/admit/handoff/deliver/wakeup)
+  /// stamped into the profiler (control traffic — acks, barrier tokens,
+  /// which reuse seq 0 — is not); and every typed NcsException upcall
+  /// (recv timeout, frame error, one-sided failure) or error-control
+  /// give-up *triggers* the flight recorder — the first failure in the run
+  /// dumps the snapshot — without disturbing the application's handler.
   Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transport> transport,
-       Options options);
-  Node(mts::Scheduler& host, int rank, int n_procs, std::unique_ptr<Transport> transport)
-      : Node(host, rank, n_procs, std::move(transport), Options()) {}
+       Options options, const obs::Hub& obs = obs::Hub::off());
   ~Node();
 
   int rank() const { return rank_; }
@@ -214,26 +223,6 @@ class Node {
   /// (e.g. "p0/mps" yields "p0/mps/sends", "p0/mps/flow/window_stalls", ...).
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// Creates "<prefix>/send" and "<prefix>/recv" trace tracks: per-transfer
-  /// spans on the send track (flow-control stalls included), delivery
-  /// instants on the recv track, retransmit instants from error control.
-  /// When tracing is on, each data message additionally carries a Chrome
-  /// flow event pair (id = msg_flow_id) so Perfetto draws an arrow from the
-  /// send span on this host to the recv span on the destination host.
-  void set_trace(obs::TraceLog* trace, const std::string& prefix);
-
-  /// Stamps every data message's lifecycle (enqueue/dequeue/admit/handoff/
-  /// deliver/wakeup) into `prof` and forwards it to the flow/error-control
-  /// policies and the transport. Control traffic (acks, barrier tokens,
-  /// which reuse seq 0) is not profiled.
-  void set_profiler(obs::Profiler* prof);
-
-  /// Flight-recorder hookup: every typed NcsException upcall (recv
-  /// timeout, frame error, one-sided failure) and every error-control
-  /// give-up on this node *triggers* the recorder — the first such failure
-  /// in the run dumps the snapshot. Does not disturb the application's
-  /// exception handler.
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
  private:
   struct SendRequest {
@@ -294,12 +283,13 @@ class Node {
   /// just returned to the application; `wait_began` is when the receive
   /// call started blocking.
   void note_received(const Message& msg, TimePoint wait_began);
+  /// Records a failure on this node into the flight recorder (when on).
+  void trigger_recorder(obs::FlightRecorder::EntryKind kind, const std::string& what, int peer,
+                        std::uint32_t seq);
 
-  obs::TraceLog* trace_ = nullptr;
-  int send_track_ = -1;
-  int recv_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track send_track_;
+  obs::Track recv_track_;
 
   Stats stats_;
 };

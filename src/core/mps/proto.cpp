@@ -31,7 +31,8 @@ const char* to_string(ProtoMode m) {
 
 ProtoEngine::ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl& fc,
                          ErrorControl& ec, ProtoParams params, int rank,
-                         double copy_cycles_per_byte, double fixed_cycles, Hooks hooks)
+                         double copy_cycles_per_byte, double fixed_cycles, Hooks hooks,
+                         const obs::Hub& obs)
     : host_(host),
       transport_(transport),
       fc_(fc),
@@ -40,7 +41,9 @@ ProtoEngine::ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl
       rank_(rank),
       copy_cycles_per_byte_(copy_cycles_per_byte),
       fixed_cycles_(fixed_cycles),
-      hooks_(std::move(hooks)) {
+      hooks_(std::move(hooks)),
+      obs_(&obs),
+      track_(rank, "/mps/send") {
   NCS_ASSERT(params_.coalesce_max_msgs >= 1);
   NCS_ASSERT(params_.coalesce_max_bytes >= 1);
 }
@@ -168,29 +171,29 @@ void ProtoEngine::flush(int dst, FlushReason reason) {
   }
 
   const TimePoint began = host_.engine().now();
-  if (prof_ != nullptr) {
-    prof_->record_proto_count("eager_batch_occupancy",
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    prof->record_proto_count("eager_batch_occupancy",
                               static_cast<std::int64_t>(msgs.size()));
-    for (const TimePoint& t : enqueued) prof_->record(obs::Layer::proto, began - t);
+    for (const TimePoint& t : enqueued) prof->record(obs::Layer::proto, began - t);
   }
 
   // One window credit and one ack per frame, not per coalesced message.
   fc_.before_send(frame);
-  if (prof_ != nullptr) {
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
     const TimePoint admitted = host_.engine().now();
-    for (const Message& m : msgs) prof_->on_admit(key_of(m), admitted);
+    for (const Message& m : msgs) prof->on_admit(key_of(m), admitted);
   }
   hooks_.submit(frame);
   ec_.on_sent(frame);
   const TimePoint ended = host_.engine().now();
-  if (prof_ != nullptr) {
-    for (const Message& m : msgs) prof_->on_handoff(key_of(m), ended);
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    for (const Message& m : msgs) prof->on_handoff(key_of(m), ended);
   }
-  if (trace_ != nullptr) {
-    trace_->complete(send_track_,
-                     "eager->p" + std::to_string(dst) + " x" + std::to_string(msgs.size()) +
-                         " " + std::to_string(frame.data.size()) + "B",
-                     "mps", began, ended - began);
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
+    trace->complete(track_.id(*trace),
+                    "eager->p" + std::to_string(dst) + " x" + std::to_string(msgs.size()) +
+                        " " + std::to_string(frame.data.size()) + "B",
+                    "mps", began, ended - began);
   }
 }
 
@@ -230,7 +233,8 @@ bool ProtoEngine::rendezvous(const Message& msg) {
   // One window credit covers the whole transfer; the final chunk's
   // (credit-bearing) ack releases it. Rate pacing sees the true size.
   fc_.before_send(msg);
-  if (prof_ != nullptr) prof_->on_admit(key_of(msg), host_.engine().now());
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr)
+    prof->on_admit(key_of(msg), host_.engine().now());
 
   RndvTx& st = rndv_tx_[id];
   st.waiter = host_.current();
@@ -258,9 +262,9 @@ bool ProtoEngine::rendezvous(const Message& msg) {
       ++stats_.rndv_give_ups;
       NCS_WARN("ncs.proto", "node %d giving up rendezvous to %d after %d RTS", rank_, dst,
                sends);
-      if (trace_ != nullptr)
-        trace_->instant(send_track_, "rndv give-up ->p" + std::to_string(dst), "mps",
-                        host_.engine().now());
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+        trace->instant(track_.id(*trace), "rndv give-up ->p" + std::to_string(dst), "mps",
+                       host_.engine().now());
       if (hooks_.exception) hooks_.exception(NcsExceptionKind::message_timeout, dst, msg.seq);
       return false;
     }
@@ -285,9 +289,9 @@ bool ProtoEngine::rendezvous(const Message& msg) {
     host_.engine().cancel(timer);
   }
   const Duration handshake = host_.engine().now() - handshake_began;
-  if (prof_ != nullptr) {
-    prof_->record(obs::Layer::proto, handshake);
-    prof_->record_proto("rts_cts_delay", handshake);
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    prof->record(obs::Layer::proto, handshake);
+    prof->record_proto("rts_cts_delay", handshake);
   }
   const auto sample = static_cast<double>(handshake.ps());
   rtt_ewma_ps_ = rtt_ewma_ps_ == 0.0 ? sample : 0.75 * rtt_ewma_ps_ + 0.25 * sample;
@@ -316,12 +320,12 @@ bool ProtoEngine::rendezvous(const Message& msg) {
   } while (off < msg.data.size());
   rndv_tx_.erase(id);
   const TimePoint ended = host_.engine().now();
-  if (prof_ != nullptr) prof_->on_handoff(key_of(msg), ended);
-  if (trace_ != nullptr) {
-    trace_->complete(send_track_,
-                     "rndv->p" + std::to_string(dst) + " " +
-                         std::to_string(msg.data.size()) + "B",
-                     "mps", handshake_began, ended - handshake_began);
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) prof->on_handoff(key_of(msg), ended);
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
+    trace->complete(track_.id(*trace),
+                    "rndv->p" + std::to_string(dst) + " " + std::to_string(msg.data.size()) +
+                        "B",
+                    "mps", handshake_began, ended - handshake_began);
   }
   return true;
 }

@@ -44,9 +44,9 @@
 #include "core/mps/flow_control.hpp"
 #include "core/mps/transport.hpp"
 #include "core/mts/scheduler.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 
 namespace ncs::mps {
 
@@ -132,9 +132,12 @@ class ProtoEngine {
     std::function<void(NcsExceptionKind, int peer, std::uint32_t seq)> exception;
   };
 
+  /// Frame spans and rendezvous give-ups go onto rank's "p<rank>/mps/send"
+  /// trace track; Layer::proto gets batch-residency and handshake delays,
+  /// the named proto histograms eager batch occupancy and RTS->CTS delay.
   ProtoEngine(mts::Scheduler& host, Transport& transport, FlowControl& fc, ErrorControl& ec,
               ProtoParams params, int rank, double copy_cycles_per_byte,
-              double fixed_cycles, Hooks hooks);
+              double fixed_cycles, Hooks hooks, const obs::Hub& obs = obs::Hub::off());
 
   bool enabled() const { return params_.mode != ProtoMode::off; }
   const ProtoParams& params() const { return params_; }
@@ -213,14 +216,6 @@ class ProtoEngine {
   const Stats& stats() const { return stats_; }
 
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
-  void set_trace(obs::TraceLog* trace, int send_track, int recv_track) {
-    trace_ = trace;
-    send_track_ = send_track;
-    recv_track_ = recv_track;
-  }
-  /// Layer::proto gets batch-residency and handshake delays; the named
-  /// proto histograms get eager batch occupancy and RTS->CTS delay.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
 
  private:
   struct Batch {
@@ -284,10 +279,8 @@ class ProtoEngine {
   /// crossover once real handshakes have been observed.
   double rtt_ewma_ps_ = 0.0;
 
-  obs::TraceLog* trace_ = nullptr;
-  int send_track_ = -1;
-  int recv_track_ = -1;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track track_;
 
   Stats stats_;
 };

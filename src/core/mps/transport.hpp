@@ -18,10 +18,6 @@
 
 #include "core/mps/message.hpp"
 
-namespace ncs::obs {
-class Profiler;
-}
-
 namespace ncs::mps {
 
 class Transport {
@@ -68,10 +64,6 @@ class Transport {
   /// detects and drops a damaged inbound frame, with the source process.
   /// Transports without such a failure mode ignore it.
   virtual void set_frame_error_handler(std::function<void(int)> /*handler*/) {}
-
-  /// Optional: transports with internal backpressure or staging record
-  /// their stall/stage durations here (pointer-guarded, nullptr disables).
-  virtual void set_profiler(obs::Profiler* /*prof*/) {}
 };
 
 }  // namespace ncs::mps

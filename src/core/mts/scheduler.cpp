@@ -16,9 +16,10 @@ Scheduler* g_active = nullptr;
 
 Scheduler* Scheduler::active() { return g_active; }
 
-Scheduler::Scheduler(sim::Engine& engine, SchedulerParams params)
+Scheduler::Scheduler(sim::Engine& engine, SchedulerParams params, const obs::Hub& obs)
     : engine_(engine),
       params_(std::move(params)),
+      obs_(&obs),
       cores_(params_.smp, params_.name) {
   NCS_ASSERT(params_.cpu_mhz > 0);
 }
@@ -64,11 +65,7 @@ Thread* Scheduler::spawn(std::function<void()> body, ThreadOptions opts) {
   ++stats_.spawns;
   t->core_ = place(*t);
 
-  if (timeline_ != nullptr) {
-    t->timeline_track_ = timeline_->add_track(params_.name + "/" + t->name_);
-    timeline_->transition(t->timeline_track_, engine_.now(), sim::Activity::idle);
-  }
-  if (trace_ != nullptr) t->trace_track_ = trace_->track(params_.name + "/" + t->name_);
+  mark(t, sim::Activity::idle);
 
   // Creation cost: charged inline when a thread of this host spawns,
   // otherwise (setup from engine context) pushed onto the new thread's
@@ -118,10 +115,10 @@ Thread* Scheduler::pop_runnable(Core& core) {
     if (!q.empty()) {
       Thread& t = q.pop_front();
       t.queue_ = nullptr;
-      if (prof_ != nullptr) {
+      if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
         const Duration lat = engine_.now() - t.runnable_since_;
-        prof_->record(obs::Layer::sched_dispatch, lat);
-        if (cores_.size() > 1) prof_->record_core(core.prof_key, lat);
+        prof->record(obs::Layer::sched_dispatch, lat);
+        if (cores_.size() > 1) prof->record_core(core.prof_key, lat);
       }
       return &t;
     }
@@ -150,12 +147,12 @@ Thread* Scheduler::steal_into(Core& thief) {
         ++stats_.steals;
         ++thief.stats.steals_in;
         ++victim.stats.steals_out;
-        if (trace_ != nullptr && cand.trace_track_ >= 0)
-          trace_->instant(cand.trace_track_, "steal", "mts", engine_.now());
-        if (prof_ != nullptr) {
+        if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+          trace->instant(trace_track(*trace, cand), "steal", "mts", engine_.now());
+        if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
           const Duration lat = engine_.now() - cand.runnable_since_;
-          prof_->record(obs::Layer::sched_dispatch, lat);
-          prof_->record_core(thief.prof_key, lat);
+          prof->record(obs::Layer::sched_dispatch, lat);
+          prof->record_core(thief.prof_key, lat);
         }
         return &cand;
       }
@@ -165,8 +162,16 @@ Thread* Scheduler::steal_into(Core& thief) {
 }
 
 void Scheduler::mark(Thread* t, sim::Activity a) {
-  if (timeline_ != nullptr && t->timeline_track_ >= 0)
-    timeline_->transition(t->timeline_track_, engine_.now(), a);
+  sim::Timeline* timeline = obs_->timeline;
+  if (timeline == nullptr) return;
+  if (t->timeline_track_ < 0)
+    t->timeline_track_ = timeline->add_track(params_.name + "/" + t->name_);
+  timeline->transition(t->timeline_track_, engine_.now(), a);
+}
+
+int Scheduler::trace_track(obs::TraceLog& trace, Thread& t) {
+  if (t.trace_track_ < 0) t.trace_track_ = trace.track(params_.name + "/" + t.name_);
+  return t.trace_track_;
 }
 
 void Scheduler::reserve_cpu(Core& core, Duration d, bool as_overhead) {
@@ -264,8 +269,8 @@ void Scheduler::run_thread(Core& core, Thread* t) {
   current_ = t;
   ++stats_.dispatches;
   ++core.stats.dispatches;
-  if (trace_ != nullptr && t->trace_track_ >= 0)
-    trace_->instant(t->trace_track_, "dispatch", "mts", engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->instant(trace_track(*trace, *t), "dispatch", "mts", engine_.now());
 
   Scheduler* prev_active = g_active;
   g_active = this;
@@ -306,10 +311,10 @@ void Scheduler::block(sim::Activity blocked_as) {
   mark(t, blocked_as);
   switch_to_scheduler();
   mark(t, sim::Activity::idle);
-  if (trace_ != nullptr && t->trace_track_ >= 0)
-    trace_->complete(t->trace_track_,
-                     std::string("block:") + sim::activity_name(blocked_as), "mts",
-                     t->block_began_, engine_.now() - t->block_began_);
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(trace_track(*trace, *t),
+                    std::string("block:") + sim::activity_name(blocked_as), "mts",
+                    t->block_began_, engine_.now() - t->block_began_);
 }
 
 void Scheduler::unblock(Thread* t) {
@@ -345,9 +350,9 @@ void Scheduler::charge(Duration d, sim::Activity a) {
 void Scheduler::charge_window(Thread* t, Duration d, sim::Activity a) {
   const int core = t->core_;
   Core& c = cores_[core];
-  if (trace_ != nullptr && t->trace_track_ >= 0)
-    trace_->complete(t->trace_track_, std::string("charge:") + sim::activity_name(a), "mts",
-                     engine_.now(), d);
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->complete(trace_track(*trace, *t), std::string("charge:") + sim::activity_name(a),
+                    "mts", engine_.now(), d);
   mark(t, a);
   stats_.cpu_busy += d;
   c.stats.cpu_busy += d;
@@ -464,8 +469,8 @@ void Scheduler::progress_hint() {
         cand.queue_ = nullptr;
         cand.core_ = here.index;
         ++here.stats.migrations_in;
-        if (trace_ != nullptr && cand.trace_track_ >= 0)
-          trace_->instant(cand.trace_track_, "migrate", "mts", engine_.now());
+        if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+          trace->instant(trace_track(*trace, cand), "migrate", "mts", engine_.now());
         make_runnable(&cand, /*front=*/false);
       }
     }

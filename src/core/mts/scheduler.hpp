@@ -35,9 +35,9 @@
 #include "common/time.hpp"
 #include "core/mts/smp.hpp"
 #include "core/mts/thread.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/timeline.hpp"
 
@@ -59,7 +59,13 @@ struct SchedulerParams {
 
 class Scheduler {
  public:
-  Scheduler(sim::Engine& engine, SchedulerParams params);
+  /// Observability through `obs`: each thread gets a "<host>/<thread>"
+  /// activity-timeline track (from spawn when the timeline is on) and trace
+  /// track (dispatch instants, charge and block spans); dispatch latency
+  /// feeds Layer::sched_dispatch — the time work sits queued behind the
+  /// non-preemptive CPU, the scheduling share of the paper's "overhead of
+  /// maintaining threads".
+  Scheduler(sim::Engine& engine, SchedulerParams params, const obs::Hub& obs = obs::Hub::off());
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -156,19 +162,6 @@ class Scheduler {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Attach an activity timeline; threads spawned afterwards get tracks
-  /// named "<host>/<thread>".
-  void set_timeline(sim::Timeline* timeline) { timeline_ = timeline; }
-
-  /// Attach a span log; threads spawned afterwards emit dispatch instants
-  /// plus charge and block spans on tracks named "<host>/<thread>".
-  void set_trace(obs::TraceLog* trace) { trace_ = trace; }
-
-  /// Per-dispatch runnable->running latency feeds Layer::sched_dispatch —
-  /// the time work sits queued behind the non-preemptive CPU, i.e. the
-  /// scheduling share of the paper's "overhead of maintaining threads".
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
-
   /// Registers this host's counters under `prefix` (e.g. "p0/mts").
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
@@ -188,14 +181,13 @@ class Scheduler {
   void advertise(Core& core);  // offer leftover stealable work to idle siblings
   int place(const Thread& t);  // initial core for a newly spawned thread
   void mark(Thread* t, sim::Activity a);
+  int trace_track(obs::TraceLog& trace, Thread& t);
   void reserve_cpu(Core& core, Duration d, bool as_overhead);
   void charge_window(Thread* t, Duration d, sim::Activity a);
 
   sim::Engine& engine_;
   SchedulerParams params_;
-  sim::Timeline* timeline_ = nullptr;
-  obs::TraceLog* trace_ = nullptr;
-  obs::Profiler* prof_ = nullptr;
+  const obs::Hub* obs_;
 
   std::vector<std::unique_ptr<Thread>> threads_;
   /// Per-core run contexts (queues, dispatch state, busy horizons). The

@@ -33,11 +33,6 @@ void FaultInjector::attach_host(const std::string& name, HostFault* state) {
   host_[name] = state;
 }
 
-void FaultInjector::set_trace(obs::TraceLog* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) trace_track_ = trace_->track("fault");
-}
-
 std::vector<LinkFault*> FaultInjector::links_for(const std::string& target) {
   std::vector<LinkFault*> out;
   for (const std::string& name : {target, target + ">", target + "<"}) {
@@ -50,12 +45,13 @@ std::vector<LinkFault*> FaultInjector::links_for(const std::string& target) {
 void FaultInjector::fire(const std::string& label) {
   ++stats_.transitions_fired;
   NCS_INFO("fault", "%s", label.c_str());
-  if (trace_ != nullptr) trace_->instant(trace_track_, label, "fault", engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->instant(track_.id(*trace), label, "fault", engine_.now());
   // Fault transitions live on the recorder's fabric ring (host -1), which
   // per-message stamp traffic never evicts — so a dump triggered seconds
   // after a blackout still contains the instant that caused it.
-  if (recorder_ != nullptr)
-    recorder_->note(-1, obs::FlightRecorder::EntryKind::fault, engine_.now(), label);
+  if (obs::FlightRecorder* recorder = obs_->recorder; recorder != nullptr)
+    recorder->note(-1, obs::FlightRecorder::EntryKind::fault, engine_.now(), label);
 }
 
 void FaultInjector::schedule(const FaultPlan& plan) {

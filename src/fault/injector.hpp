@@ -15,16 +15,20 @@
 
 #include "fault/faults.hpp"
 #include "fault/plan.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace ncs::fault {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(sim::Engine& engine) : engine_(engine) {}
+  /// Fault transitions go to `obs.trace` as instants on a "fault" track
+  /// and to the flight recorder's fabric ring, so a triggered dump shows
+  /// the injected fault next to the failures it caused.
+  explicit FaultInjector(sim::Engine& engine, const obs::Hub& obs = obs::Hub::off())
+      : engine_(engine), obs_(&obs) {}
 
   // --- component registration (topology wiring) ---
   // Links register per direction; a plan target "sonet" matches "sonet",
@@ -37,14 +41,6 @@ class FaultInjector {
   /// Arms every event of `plan` on the engine. May be called more than
   /// once (plans accumulate). Unmatched targets warn and count.
   void schedule(const FaultPlan& plan);
-
-  /// Fault transitions are emitted as instants onto a dedicated track.
-  void set_trace(obs::TraceLog* trace);
-
-  /// Fault transitions additionally land on the flight recorder's fabric
-  /// ring, so a triggered dump shows the injected fault next to the
-  /// failures it caused.
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   struct Stats {
     std::uint64_t events_scheduled = 0;
@@ -63,9 +59,8 @@ class FaultInjector {
   std::map<std::string, NicFault*> nic_;
   std::map<std::string, SwitchFault*> switch_;
   std::map<std::string, HostFault*> host_;
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
-  obs::FlightRecorder* recorder_ = nullptr;
+  const obs::Hub* obs_;
+  obs::Track track_{-1, "fault"};
   std::uint64_t scheduled_total_ = 0;  // burst-seed mixing across plans
   Stats stats_;
 };

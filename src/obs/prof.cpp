@@ -22,7 +22,6 @@ const char* to_string(Layer l) {
     case Layer::nic_dma: return "nic_dma";
     case Layer::nic_sar: return "nic_sar";
     case Layer::wire: return "wire";
-    case Layer::mux_queue: return "mux_queue";
     case Layer::sched_dispatch: return "sched_dispatch";
     case Layer::coll: return "coll";
     case Layer::proto: return "proto";
@@ -101,10 +100,10 @@ void Profiler::on_wakeup(const MsgKey& k, TimePoint wakeup) {
     const Duration e2e = wakeup - live.t[kEnqueue];
     record(Layer::end_to_end, e2e);
     ++completed_;
-    if (e2e_sketch_ != nullptr) e2e_sketch_->record(wakeup, e2e);
-    if (recorder_ != nullptr)
-      recorder_->note(k.to, FlightRecorder::EntryKind::stamp, wakeup, "e2e", k.from,
-                      e2e.ps());
+    if (obs_->e2e_sketch != nullptr) obs_->e2e_sketch->record(wakeup, e2e);
+    if (obs_->recorder != nullptr)
+      obs_->recorder->note(k.to, FlightRecorder::EntryKind::stamp, wakeup, "e2e", k.from,
+                           e2e.ps());
   }
   live_.erase(it);
 }

@@ -20,11 +20,11 @@
 //
 // Consecutive stages fold into per-layer Histograms (send_queue,
 // flow_control, transport, network, mailbox) plus end_to_end; auxiliary
-// layers (fc_stall, retx_delay, NIC DMA/SAR, wire serialization, cell-mux
-// queueing, scheduler dispatch latency) are fed directly by their modules
-// via record(). Everything is pointer-guarded at the call sites — a module
-// holds a `Profiler*` defaulting to nullptr, matching the TraceLog
-// convention, so profiling disabled costs one predictable branch.
+// layers (fc_stall, retx_delay, NIC DMA/SAR, wire serialization, scheduler
+// dispatch latency) are fed directly by their modules via record().
+// Modules reach the profiler through their obs::Hub (obs/hub.hpp) and
+// check `prof` at the call site, so profiling disabled costs one
+// predictable branch.
 //
 // The overlap half folds a finished sim::Timeline into per-thread
 // compute/communicate/idle totals and a per-host sweep that measures the
@@ -39,6 +39,7 @@
 
 #include "common/time.hpp"
 #include "obs/hist.hpp"
+#include "obs/hub.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sketch.hpp"
 #include "sim/timeline.hpp"
@@ -63,7 +64,6 @@ enum class Layer : std::uint8_t {
   nic_dma,          // per-burst host-memory DMA stage
   nic_sar,          // per-burst segmentation-and-reassembly stage
   wire,             // per-burst link serialization time
-  mux_queue,        // cell-mux queueing delay (ablation_cellmux datapath)
   sched_dispatch,   // thread runnable -> dispatched (scheduler queue wait)
   coll,             // whole-collective latency (entry -> result, per op)
   proto,            // protocol-engine delays: eager batch residency and
@@ -111,6 +111,11 @@ class Profiler {
       return seq < o.seq;
     }
   };
+
+  /// Every end-to-end fold also lands in `obs.e2e_sketch` (the telemetry
+  /// plane's tail-latency sketch) and, as an EntryKind::stamp on the
+  /// destination host's ring, in `obs.recorder` — whichever are on.
+  explicit Profiler(const Hub& obs = Hub::off()) : obs_(&obs) {}
 
   // Lifecycle stamps, in stage order. Stamps for unknown keys (or repeated
   // stamps for the same stage, e.g. a duplicate delivery that slipped past
@@ -165,16 +170,6 @@ class Profiler {
 
   const std::map<std::string, Histogram>& core_hists() const { return core_; }
 
-  /// Telemetry sink for completed end-to-end latencies: every on_wakeup
-  /// fold additionally records (wakeup time, e2e) into the sketch, so the
-  /// sampler sees tail latency as it happens. Pointer-guarded like the
-  /// other hooks.
-  void set_latency_sketch(WindowedSketch* sketch) { e2e_sketch_ = sketch; }
-
-  /// Flight-recorder sink: every fold leaves an EntryKind::stamp on the
-  /// destination host's ring (what = "e2e", peer = source, value = e2e ps).
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
-
   /// Messages whose full lifecycle was folded.
   std::uint64_t completed() const { return completed_; }
   /// Messages with at least one stamp but no wakeup yet (lost to a link
@@ -204,8 +199,7 @@ class Profiler {
   std::map<std::string, Histogram> rma_;
   std::map<std::string, Histogram> core_;
   std::uint64_t completed_ = 0;
-  WindowedSketch* e2e_sketch_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  const Hub* obs_;
 };
 
 /// Per-thread activity totals folded from a finished Timeline track.

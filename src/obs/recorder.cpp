@@ -21,13 +21,9 @@ const char* to_string(FlightRecorder::EntryKind k) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(std::size_t ring_capacity) : capacity_(ring_capacity) {
+FlightRecorder::FlightRecorder(std::size_t ring_capacity, const Hub& obs)
+    : capacity_(ring_capacity), obs_(&obs) {
   NCS_ASSERT(ring_capacity >= 1);
-}
-
-void FlightRecorder::set_trace(TraceLog* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) trace_track_ = trace_->track("flight-recorder");
 }
 
 FlightRecorder::Ring& FlightRecorder::ring(int host) {
@@ -57,8 +53,8 @@ void FlightRecorder::trigger(int host, EntryKind kind, TimePoint t,
   if (have_trigger_) return;  // first failure wins; later ones only count
   have_trigger_ = true;
   first_trigger_ = Entry{t.ps(), host, kind, reason, peer, value};
-  if (trace_ != nullptr)
-    trace_->instant(trace_track_, "dump: " + reason, "recorder", t);
+  if (TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->instant(track_.id(*trace), "dump: " + reason, "recorder", t);
   if (!dump_path_.empty()) {
     if (write(dump_path_)) {
       ++dumps_;

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "obs/trace.hpp"
+#include "obs/hub.hpp"
 
 namespace ncs::obs {
 
@@ -51,14 +51,12 @@ class FlightRecorder {
     std::int64_t value = 0;  // latency ps, seq, burn*1000 — kind-dependent
   };
 
-  /// `ring_capacity` slots per host ring.
-  explicit FlightRecorder(std::size_t ring_capacity = 256);
+  /// `ring_capacity` slots per host ring. Dump annotations land on a
+  /// "flight-recorder" instant track when `obs.trace` is on.
+  explicit FlightRecorder(std::size_t ring_capacity = 256, const Hub& obs = Hub::off());
 
   /// Arms auto-dump: the first trigger() writes the snapshot to `path`.
   void arm(std::string path) { dump_path_ = std::move(path); }
-
-  /// Dump annotations land on a "flight-recorder" instant track.
-  void set_trace(TraceLog* trace);
 
   /// Appends to `host`'s ring (oldest entry overwritten when full).
   void note(int host, EntryKind kind, TimePoint t, std::string what, int peer = -1,
@@ -93,8 +91,8 @@ class FlightRecorder {
   std::size_t capacity_;
   std::map<int, Ring> rings_;
   std::string dump_path_;
-  TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
+  const Hub* obs_;
+  Track track_{-1, "flight-recorder"};
   std::uint64_t recorded_ = 0;
   std::uint64_t triggers_ = 0;
   std::uint64_t dumps_ = 0;

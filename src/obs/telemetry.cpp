@@ -5,8 +5,9 @@
 
 namespace ncs::obs {
 
-TelemetrySampler::TelemetrySampler(sim::Engine& engine, TelemetryConfig cfg)
-    : engine_(engine), cfg_(cfg) {
+TelemetrySampler::TelemetrySampler(sim::Engine& engine, TelemetryConfig cfg,
+                                   const Hub& obs)
+    : engine_(engine), cfg_(cfg), obs_(&obs) {
   NCS_ASSERT(cfg_.period.ps() > 0);
 }
 
@@ -53,6 +54,7 @@ void TelemetrySampler::tick() {
   const TimePoint now = engine_.now();
   ++ticks_;
   constexpr double kPsToUs = 1e-6;
+  TraceLog* const trace = obs_->trace;
 
   for (SketchEntry& e : sketches_) {
     e.sketch->advance_to(now);
@@ -60,25 +62,23 @@ void TelemetrySampler::tick() {
     const SketchPoint p{now.ps(), window.count(), window.quantile(0.50),
                         window.quantile(0.99), window.quantile(0.999)};
     e.series.push_back(p);
-    if (trace_ != nullptr) {
-      trace_->counter(e.name + "/p99_us", now,
-                      static_cast<double>(p.p99_ps) * kPsToUs);
-      trace_->counter(e.name + "/p999_us", now,
-                      static_cast<double>(p.p999_ps) * kPsToUs);
-      trace_->counter(e.name + "/window_count", now, static_cast<double>(p.count));
+    if (trace != nullptr) {
+      trace->counter(e.name + "/p99_us", now, static_cast<double>(p.p99_ps) * kPsToUs);
+      trace->counter(e.name + "/p999_us", now, static_cast<double>(p.p999_ps) * kPsToUs);
+      trace->counter(e.name + "/window_count", now, static_cast<double>(p.count));
     }
   }
 
   for (ProbeEntry& e : probes_) {
     const double v = e.fn();
     e.series.push_back({now.ps(), v});
-    if (trace_ != nullptr) trace_->counter(e.name, now, v);
+    if (trace != nullptr) trace->counter(e.name, now, v);
   }
 
   slo_.evaluate(now);
-  if (trace_ != nullptr) {
+  if (trace != nullptr) {
     for (const SloEngine::State& s : slo_.states())
-      trace_->counter("slo/" + s.spec.name + "/burn", now, s.last_burn);
+      trace->counter("slo/" + s.spec.name + "/burn", now, s.last_burn);
   }
 
   if (keep_going_()) engine_.schedule_after(cfg_.period, [this] { tick(); });

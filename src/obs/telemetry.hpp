@@ -1,10 +1,10 @@
 // Live telemetry plane: the periodic sampler tying sketches, gauges, SLOs
 // and the flight recorder together.
 //
-// A TelemetrySampler owns named WindowedSketches (hot paths resolve them
-// once to raw pointers — Profiler::set_latency_sketch,
-// rma::Engine::set_latency_sketch — so per-sample cost is a bucket
-// increment) and named gauge probes (queue depths, credit occupancy,
+// A TelemetrySampler owns named WindowedSketches (the cluster publishes
+// "mps/e2e" and "rma/op" as raw pointers in its obs::Hub, where the
+// Profiler and the rma::Engines record into them, so per-sample cost is a
+// bucket increment) and named gauge probes (queue depths, credit occupancy,
 // window occupancy: cheap lambdas over live module state). arm() schedules
 // a periodic sim event; every tick it
 //
@@ -13,7 +13,8 @@
 //      {t, value} point per probe to the in-memory series,
 //   3. grades every SLO against the new windows (hard breaches reach the
 //      flight recorder through the cluster's hook),
-//   4. emits the same values as Chrome counter tracks when tracing, and
+//   4. emits the same values as Chrome counter tracks when the hub's
+//      trace log is on, and
 //   5. reschedules itself only while the caller's keep_going() predicate
 //      holds — the tick must never keep the engine's queue non-empty
 //      after the workload finished, or run() would never drain.
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "obs/hub.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sketch.hpp"
 #include "obs/slo.hpp"
@@ -57,7 +59,9 @@ struct TelemetryConfig {
 
 class TelemetrySampler {
  public:
-  TelemetrySampler(sim::Engine& engine, TelemetryConfig cfg);
+  /// Counter tracks ("<name>/p99_us", probes verbatim) go to `obs.trace`
+  /// when it is on.
+  TelemetrySampler(sim::Engine& engine, TelemetryConfig cfg, const Hub& obs = Hub::off());
 
   const TelemetryConfig& config() const { return cfg_; }
 
@@ -71,9 +75,6 @@ class TelemetrySampler {
 
   SloEngine& slo() { return slo_; }
   const SloEngine& slo() const { return slo_; }
-
-  /// Counter tracks go here when set ("<name>/p99_us", probes verbatim).
-  void set_trace(TraceLog* trace) { trace_ = trace; }
 
   /// Starts ticking at `first`, then every period while keep_going()
   /// (checked after each tick) returns true. One final tick after the
@@ -119,7 +120,7 @@ class TelemetrySampler {
   std::vector<SketchEntry> sketches_;
   std::vector<ProbeEntry> probes_;
   SloEngine slo_;
-  TraceLog* trace_ = nullptr;
+  const Hub* obs_;
   std::function<bool()> keep_going_;
   std::uint64_t ticks_ = 0;
 };

@@ -13,9 +13,10 @@
 // a track. Simulated picoseconds are exported as fractional microseconds
 // (the format's unit).
 //
-// All hooks are pointer-guarded at the call site: a module holds a
-// `TraceLog*` that defaults to nullptr, and every emission site checks it —
-// tracing disabled costs one predictable branch.
+// Modules reach the log through their obs::Hub (obs/hub.hpp) and check its
+// `trace` field at every emission site — tracing disabled costs one
+// predictable branch. Track ids are resolved by name on first emission
+// (obs::Track), so tids follow first-use order.
 #pragma once
 
 #include <cstdint>

@@ -27,8 +27,9 @@ constexpr int kBarrierRelease = kInternalTypeBase + 2;
 }  // namespace
 
 Runtime::Runtime(sim::Engine& engine, std::vector<mts::Scheduler*> hosts,
-                 proto::SegmentNetwork& net, proto::TcpParams tcp, proto::CostModel costs)
-    : engine_(engine), costs_(costs), mesh_(engine, net, tcp) {
+                 proto::SegmentNetwork& net, proto::TcpParams tcp, proto::CostModel costs,
+                 const obs::Hub& obs)
+    : engine_(engine), costs_(costs), mesh_(engine, net, tcp, obs) {
   NCS_ASSERT(!hosts.empty());
   NCS_ASSERT(static_cast<int>(hosts.size()) <= net.n_hosts());
   for (int r = 0; r < static_cast<int>(hosts.size()); ++r) {

@@ -120,10 +120,11 @@ class Process {
 
 class Runtime {
  public:
-  /// hosts[r] is the scheduler (workstation) running process rank r.
+  /// hosts[r] is the scheduler (workstation) running process rank r; the
+  /// TCP mesh reports to `obs`.
   Runtime(sim::Engine& engine, std::vector<mts::Scheduler*> hosts,
           proto::SegmentNetwork& net, proto::TcpParams tcp = {},
-          proto::CostModel costs = {});
+          proto::CostModel costs = {}, const obs::Hub& obs = obs::Hub::off());
 
   int n_procs() const { return static_cast<int>(procs_.size()); }
   Process& process(int rank) { return *procs_[static_cast<std::size_t>(rank)]; }

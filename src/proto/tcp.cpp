@@ -35,8 +35,14 @@ constexpr int kMaxBackoffShift = 3;  // RTO caps at 8x
 }  // namespace
 
 TcpConnection::TcpConnection(sim::Engine& engine, SegmentNetwork& net, int src, int dst,
-                             std::uint16_t conn_id, TcpParams params)
-    : engine_(engine), net_(net), src_(src), dst_(dst), conn_id_(conn_id), params_(params) {
+                             std::uint16_t conn_id, TcpParams params, const obs::Hub& obs)
+    : engine_(engine),
+      net_(net),
+      src_(src),
+      dst_(dst),
+      conn_id_(conn_id),
+      params_(params),
+      obs_(&obs) {
   NCS_ASSERT(params_.window_segments >= 1);
   NCS_ASSERT(net.mtu() > kIpTcpHeaderBytes);
   mss_ = std::min(params_.mss, net.mtu() - kIpTcpHeaderBytes);
@@ -67,9 +73,9 @@ void TcpConnection::pump() {
     // tail by up to the delayed-ack timer — deliberately modeled.
     if (params_.nagle && len < mss_ && snd_nxt_ > snd_una_) {
       ++stats_.nagle_holds;
-      if (trace_ != nullptr)
-        trace_->instant(trace_track_, "nagle-hold c" + std::to_string(conn_id_), "tcp",
-                        engine_.now());
+      if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+        trace->instant(track_.id(*trace), "nagle-hold c" + std::to_string(conn_id_), "tcp",
+                       engine_.now());
       break;
     }
     transmit_range(snd_nxt_, snd_nxt_ + len);
@@ -109,8 +115,8 @@ void TcpConnection::on_rto() {
   if (snd_una_ == snd_nxt_) return;  // everything acked meanwhile
   NCS_DEBUG("tcp", "conn %u rto: go-back-n to %llu", conn_id_,
             static_cast<unsigned long long>(snd_una_));
-  if (trace_ != nullptr)
-    trace_->instant(trace_track_, "rto c" + std::to_string(conn_id_), "tcp", engine_.now());
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+    trace->instant(track_.id(*trace), "rto c" + std::to_string(conn_id_), "tcp", engine_.now());
   ++backoff_;
   snd_nxt_ = snd_una_;  // go-back-N
   pump();
@@ -155,9 +161,9 @@ void TcpConnection::on_data_segment(std::uint64_t seq, BytesView payload) {
     send_ack();
   } else {
     ++stats_.acks_delayed;
-    if (trace_ != nullptr)
-      trace_->instant(trace_track_, "delay-ack c" + std::to_string(conn_id_), "tcp",
-                      engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(track_.id(*trace), "delay-ack c" + std::to_string(conn_id_), "tcp",
+                     engine_.now());
     delayed_ack_event_ = engine_.schedule_after(params_.delayed_ack, [this] {
       delayed_ack_event_ = 0;
       send_ack();
@@ -170,9 +176,13 @@ void TcpConnection::send_ack() {
   net_.send(dst_, src_, make_segment(conn_id_, kFlagAck, rcv_nxt_, {}), nullptr);
 }
 
-TcpMesh::TcpMesh(sim::Engine& engine, SegmentNetwork& net, TcpParams params)
-    : engine_(engine), net_(net), params_(params),
-      deliver_(static_cast<std::size_t>(net.n_hosts())) {
+TcpMesh::TcpMesh(sim::Engine& engine, SegmentNetwork& net, TcpParams params,
+                 const obs::Hub& obs)
+    : engine_(engine),
+      net_(net),
+      params_(params),
+      deliver_(static_cast<std::size_t>(net.n_hosts())),
+      obs_(&obs) {
   for (int h = 0; h < net_.n_hosts(); ++h) {
     net_.set_rx(h, [this, h](int from, Bytes datagram) {
       ByteReader r(datagram);
@@ -200,12 +210,11 @@ TcpConnection& TcpMesh::connection(int src, int dst) {
   auto it = connections_.find(key);
   if (it == connections_.end()) {
     auto conn = std::make_unique<TcpConnection>(
-        engine_, net_, src, dst, static_cast<std::uint16_t>(src * 256 + dst), params_);
+        engine_, net_, src, dst, static_cast<std::uint16_t>(src * 256 + dst), params_, *obs_);
     conn->set_on_deliver([this, src, dst](BytesView data) {
       auto& fn = deliver_[static_cast<std::size_t>(dst)];
       if (fn) fn(src, data);
     });
-    conn->set_trace(trace_, trace_track_);
     it = connections_.emplace(key, std::move(conn)).first;
   }
   return *it->second;
@@ -253,12 +262,6 @@ void TcpMesh::register_metrics(obs::MetricsRegistry& reg, const std::string& pre
   reg.counter(prefix + "/bytes_delivered", [this] { return total_stats().bytes_delivered; });
   reg.counter(prefix + "/out_of_order_drops",
               [this] { return total_stats().out_of_order_drops; });
-}
-
-void TcpMesh::set_trace(obs::TraceLog* trace, const std::string& prefix) {
-  trace_ = trace;
-  trace_track_ = trace_ != nullptr ? trace_->track(prefix) : -1;
-  for (auto& [key, conn] : connections_) conn->set_trace(trace_, trace_track_);
 }
 
 }  // namespace ncs::proto

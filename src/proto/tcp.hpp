@@ -20,8 +20,8 @@
 
 #include "common/bytes.hpp"
 #include "common/time.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "proto/costs.hpp"
 #include "proto/segment_network.hpp"
 #include "sim/engine.hpp"
@@ -51,8 +51,10 @@ class TcpConnection {
  public:
   using DeliverFn = std::function<void(BytesView)>;
 
+  /// Retransmit / nagle-hold / delayed-ack instants go to `obs.trace`, on
+  /// the "tcp" track every connection shares.
   TcpConnection(sim::Engine& engine, SegmentNetwork& net, int src, int dst,
-                std::uint16_t conn_id, TcpParams params);
+                std::uint16_t conn_id, TcpParams params, const obs::Hub& obs);
   ~TcpConnection();
 
   /// Appends `data` to the stream. Returns immediately (unbounded send
@@ -78,13 +80,6 @@ class TcpConnection {
     std::uint64_t out_of_order_drops = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  /// Retransmit / nagle-hold / delayed-ack instants are emitted onto
-  /// `track` of `trace` (nullptr disables).
-  void set_trace(obs::TraceLog* trace, int track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
 
   // --- internal entry points used by TcpMesh demux ---
   void on_data_segment(std::uint64_t seq, BytesView payload);
@@ -121,15 +116,17 @@ class TcpConnection {
   sim::EventId delayed_ack_event_ = 0;
   DeliverFn on_deliver_;
 
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
+  const obs::Hub* obs_;
+  obs::Track track_{-1, "tcp"};
   Stats stats_;
 };
 
 /// All-pairs stream fabric over one SegmentNetwork.
 class TcpMesh {
  public:
-  TcpMesh(sim::Engine& engine, SegmentNetwork& net, TcpParams params = {});
+  /// Every connection reports to `obs` (see TcpConnection).
+  TcpMesh(sim::Engine& engine, SegmentNetwork& net, TcpParams params = {},
+          const obs::Hub& obs = obs::Hub::off());
 
   /// Stream bytes from src to dst (in-order, reliable).
   void send(int src, int dst, Bytes data);
@@ -148,11 +145,6 @@ class TcpMesh {
   /// over every connection, sampled at snapshot time.
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
-  /// One shared "<prefix>" track carries per-connection protocol instants
-  /// (retransmits, nagle holds, delayed acks). Applies to existing and
-  /// lazily created connections alike.
-  void set_trace(obs::TraceLog* trace, const std::string& prefix);
-
  private:
   TcpConnection& connection(int src, int dst);
 
@@ -161,8 +153,7 @@ class TcpMesh {
   TcpParams params_;
   std::map<std::pair<int, int>, std::unique_ptr<TcpConnection>> connections_;
   std::vector<std::function<void(int, BytesView)>> deliver_;
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
+  const obs::Hub* obs_;
 };
 
 }  // namespace ncs::proto

@@ -62,15 +62,17 @@ TimePoint midpoint(TimePoint begin, TimePoint end) {
 
 }  // namespace
 
-Engine::Engine(mts::Scheduler& host, atm::Nic& nic, int rank, int n_procs,
-               Params params)
+Engine::Engine(mts::Scheduler& host, atm::Nic& nic, int rank, int n_procs, Params params,
+               const obs::Hub& obs)
     : host_(host),
       engine_(host.engine()),
       nic_(nic),
       rank_(rank),
       n_procs_(n_procs),
       params_(params),
-      cq_(host) {
+      cq_(host),
+      obs_(&obs),
+      track_(rank, "/rma") {
   NCS_ASSERT(rank >= 0 && rank < n_procs);
   NCS_ASSERT_MSG(n_procs <= 0x10000 - atm::kRmaVciBase, "RMA plane VCI range overflows");
   NCS_ASSERT(params_.op_credits >= 1);
@@ -235,20 +237,16 @@ void Engine::fence() {
   }
 }
 
-void Engine::set_trace(obs::TraceLog* trace, const std::string& prefix) {
-  trace_ = trace;
-  trace_track_ = trace ? trace->track(prefix) : -1;
-}
-
 void Engine::trace_post(const PendingOp& op, TimePoint begin) {
-  if (trace_ == nullptr || op.peer == rank_) return;
+  obs::TraceLog* trace = obs_->trace;
+  if (trace == nullptr || op.peer == rank_) return;
   const TimePoint end = engine_.now();
-  trace_->complete(trace_track_,
-                   std::string(to_string(op.kind)) + " #" +
-                       std::to_string(op.op_id) + " -> p" + std::to_string(op.peer),
-                   "rma", begin, end - begin);
-  trace_->flow_start(trace_track_, "rma-req", "flow", midpoint(begin, end),
-                     obs::rma_flow_id(rank_, op.peer, op.op_id, 0));
+  trace->complete(track_.id(*trace),
+                  std::string(to_string(op.kind)) + " #" +
+                      std::to_string(op.op_id) + " -> p" + std::to_string(op.peer),
+                  "rma", begin, end - begin);
+  trace->flow_start(track_.id(*trace), "rma-req", "flow", midpoint(begin, end),
+                    obs::rma_flow_id(rank_, op.peer, op.op_id, 0));
 }
 
 void Engine::register_metrics(obs::MetricsRegistry& reg,
@@ -392,7 +390,8 @@ void Engine::on_timeout(int p, std::uint32_t op_id) {
   if (op.retries < params_.retry_limit) {
     ++op.retries;
     ++stats_.retransmits;
-    if (trace_) trace_->instant(trace_track_, "rma-retx", "rma", engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(track_.id(*trace), "rma-retx", "rma", engine_.now());
     enqueue_tx(atm::rma_vc_to(p), Bytes(op.wire));
     arm_timer(p, op_id);
     return;
@@ -422,28 +421,30 @@ void Engine::complete(int p, PendingOp op, bool ok, std::uint64_t value) {
   c.at = engine_.now();
   cq_.push(c);
   const Duration lat = engine_.now() - op.posted;
-  if (prof_) {
-    prof_->record(obs::Layer::rma, lat);
-    prof_->record_rma(to_string(op.kind), lat);
+  if (obs::Profiler* prof = obs_->prof; prof != nullptr) {
+    prof->record(obs::Layer::rma, lat);
+    prof->record_rma(to_string(op.kind), lat);
   }
-  if (latency_sketch_ != nullptr) latency_sketch_->record(engine_.now(), lat);
+  if (obs::WindowedSketch* sketch = obs_->rma_sketch; sketch != nullptr)
+    sketch->record(engine_.now(), lat);
   if (ok) {
     ++stats_.completions;
-    if (trace_ != nullptr && p != rank_) {
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr && p != rank_) {
       // Synthetic sliver ending at completion time — just wide enough for
       // the response arrow to land inside it.
       const TimePoint end = engine_.now();
       const TimePoint begin = end - Duration::nanoseconds(500);
-      trace_->complete(trace_track_,
-                       std::string("comp ") + to_string(op.kind) + " #" +
-                           std::to_string(op.op_id) + " <- p" + std::to_string(p),
-                       "rma", begin, end - begin);
-      trace_->flow_end(trace_track_, "rma-resp", "flow", midpoint(begin, end),
-                       obs::rma_flow_id(rank_, p, op.op_id, 1));
+      trace->complete(track_.id(*trace),
+                      std::string("comp ") + to_string(op.kind) + " #" +
+                          std::to_string(op.op_id) + " <- p" + std::to_string(p),
+                      "rma", begin, end - begin);
+      trace->flow_end(track_.id(*trace), "rma-resp", "flow", midpoint(begin, end),
+                      obs::rma_flow_id(rank_, p, op.op_id, 1));
     }
   } else {
     ++stats_.error_completions;
-    if (trace_) trace_->instant(trace_track_, "rma-error", "rma", engine_.now());
+    if (obs::TraceLog* trace = obs_->trace; trace != nullptr)
+      trace->instant(track_.id(*trace), "rma-error", "rma", engine_.now());
     if (exception_hook_)
       exception_hook_(
           mps::NcsException(mps::NcsExceptionKind::message_timeout, p, op.op_id));
@@ -617,19 +618,19 @@ void Engine::execute_request(RxRequest q) {
     ++stats_.rx_bad_window;
     return;
   }
-  if (trace_ != nullptr) {
+  if (obs::TraceLog* trace = obs_->trace; trace != nullptr) {
     // The request parked for exactly target_exec of firmware time; the
     // span covers it, ends the request arrow, and starts the response one.
     const TimePoint end = engine_.now();
     const TimePoint begin = end - params_.target_exec;
-    trace_->complete(trace_track_,
-                     std::string("exec ") + request_name(q.kind) + " #" +
-                         std::to_string(q.op_id) + " from p" + std::to_string(q.p),
-                     "rma", begin, end - begin);
-    trace_->flow_end(trace_track_, "rma-req", "flow", midpoint(begin, end),
-                     obs::rma_flow_id(q.p, rank_, q.op_id, 0));
-    trace_->flow_start(trace_track_, "rma-resp", "flow", midpoint(begin, end),
-                       obs::rma_flow_id(q.p, rank_, q.op_id, 1));
+    trace->complete(track_.id(*trace),
+                    std::string("exec ") + request_name(q.kind) + " #" +
+                        std::to_string(q.op_id) + " from p" + std::to_string(q.p),
+                    "rma", begin, end - begin);
+    trace->flow_end(track_.id(*trace), "rma-req", "flow", midpoint(begin, end),
+                    obs::rma_flow_id(q.p, rank_, q.op_id, 0));
+    trace->flow_start(track_.id(*trace), "rma-resp", "flow", midpoint(begin, end),
+                      obs::rma_flow_id(q.p, rank_, q.op_id, 1));
   }
   switch (q.kind) {
     case kPut:

@@ -41,9 +41,9 @@
 #include "common/bytes.hpp"
 #include "common/peer_map.hpp"
 #include "core/mts/scheduler.hpp"
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 #include "rma/cq.hpp"
 #include "rma/window.hpp"
 
@@ -70,8 +70,15 @@ struct Params {
 
 class Engine {
  public:
-  Engine(mts::Scheduler& host, atm::Nic& nic, int rank, int n_procs,
-         Params params = {});
+  /// Observability through `obs`: posts become spans (descriptor-build
+  /// cost) on the "p<rank>/rma" trace track starting a flow arrow; target
+  /// execution spans end it and start the response arrow; completions end
+  /// that — the one-sided analogue of the send/recv flow stitching.
+  /// Retransmits, errors and replays stay instants. Every completion (ok
+  /// or error) records its post->completion latency into Layer::rma, the
+  /// per-kind "rma" profile section and the "rma/op" telemetry sketch.
+  Engine(mts::Scheduler& host, atm::Nic& nic, int rank, int n_procs, Params params = {},
+         const obs::Hub& obs = obs::Hub::off());
 
   int rank() const { return rank_; }
   int n_procs() const { return n_procs_; }
@@ -163,16 +170,6 @@ class Engine {
     exception_hook_ = std::move(hook);
   }
 
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
-  /// Telemetry sink: every completion (ok or error) records its
-  /// post->completion latency into the sketch at completion time.
-  void set_latency_sketch(obs::WindowedSketch* sketch) { latency_sketch_ = sketch; }
-  /// Creates "<prefix>" as this engine's trace track. Posts become spans
-  /// (descriptor-build cost) starting a flow arrow; target execution spans
-  /// end it and start the response arrow; completions end that — the
-  /// one-sided analogue of the send/recv flow stitching. Retransmits,
-  /// errors and replays stay instants.
-  void set_trace(obs::TraceLog* trace, const std::string& prefix);
   void register_metrics(obs::MetricsRegistry& reg, const std::string& prefix) const;
 
  private:
@@ -286,10 +283,8 @@ class Engine {
   std::deque<SelfOp> self_ops_;    // parked loopback ops
 
   std::function<void(const mps::NcsException&)> exception_hook_;
-  obs::Profiler* prof_ = nullptr;
-  obs::WindowedSketch* latency_sketch_ = nullptr;
-  obs::TraceLog* trace_ = nullptr;
-  int trace_track_ = -1;
+  const obs::Hub* obs_;
+  obs::Track track_;
   Stats stats_;
 };
 

@@ -97,6 +97,7 @@ void Engine::bucket_insert(Event* e) {
     // empty-bucket probe, which only streams the bucket array. A misfit
     // that shows up as long walks then refits after ~n_pending of them
     // (one rebuild's worth of damage), not after 8x that.
+    stats_.insert_steps += steps;
     if (steps > 2) wasted_steps_ += kWalkWeight * (steps - 2);
     e->next = at;
     e->prev = at->prev;
@@ -262,6 +263,7 @@ Engine::Event* Engine::find_min() {
     const Event* h = buckets_[b].head;
     if (h != nullptr && static_cast<std::uint64_t>(h->time_ps) < top) {
       cached_min_bucket_ = static_cast<int>(b);
+      stats_.bucket_probes += visited;
       // Skipping a couple of empty buckets per pop is the healthy steady
       // state of a ~half-occupied table; only the excess is waste.
       if (visited > 2) wasted_steps_ += visited - 2;
@@ -274,6 +276,7 @@ Engine::Event* Engine::find_min() {
   // Sparse tail: nothing within a full year of `now`. Direct-search the
   // bucket heads (each bucket is sorted, so the min is one of them).
   wasted_steps_ += buckets_.size();
+  stats_.bucket_probes += 2 * buckets_.size();  // the year scan above + this search
   Event* best = nullptr;
   std::size_t best_bucket = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {

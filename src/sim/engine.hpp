@@ -99,6 +99,13 @@ class Engine {
     std::uint64_t cancelled = 0;
     std::uint64_t resizes = 0;       // calendar bucket-array rebuilds
     std::size_t peak_pending = 0;
+    /// The calendar's own work, all of it (wasted_steps_ charges only the
+    /// excess): sorted-insert list steps in bucket_insert, and buckets
+    /// probed past by find_min. Deterministic for a given event sequence,
+    /// so (insert_steps + bucket_probes) / processed() gates the queue's
+    /// per-event cost without a wall clock. Zero on the legacy backend.
+    std::uint64_t insert_steps = 0;
+    std::uint64_t bucket_probes = 0;
   };
   const Stats& stats() const { return stats_; }
 

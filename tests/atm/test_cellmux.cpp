@@ -34,7 +34,7 @@ struct MuxFixture : ::testing::Test {
   MuxFixture()
       : link(engine, {.bandwidth_bps = bw::taxi_140, .propagation = 2_us}),
         sink(engine),
-        mux(engine, link, sink, 0) {}
+        mux(link, sink, 0) {}
 
   Burst burst_of(std::uint16_t vci, std::size_t payload_bytes) {
     Burst b;

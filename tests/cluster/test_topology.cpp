@@ -3,6 +3,7 @@
 // the prefixes, so a topology refactor must leave them where they are.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -17,14 +18,23 @@ struct Names {
   std::vector<std::string> tracks;
 };
 
+/// Element names, plus the switch trace tracks after a one-message ring
+/// (tracks are named on first use; the ring crosses every switch).
 Names names_of(Cluster& c) {
   c.enable_trace();
+  c.init_ncs_hsm();
+  c.run([&](int rank) {
+    const int n = c.n_procs();
+    c.node(rank).send(0, 0, (rank + 1) % n, Bytes(64, std::byte{1}));
+    (void)c.node(rank).recv(0, (rank + n - 1) % n, 0);
+  });
   Names n;
   c.atm_fabric()->for_each_switch([&](atm::Switch& s) { n.switches.push_back(s.name()); });
   c.atm_fabric()->for_each_link([&](net::Link& l) { n.links.push_back(l.name()); });
   const obs::TraceLog& trace = *c.trace();
   for (int t = 0; t < trace.track_count(); ++t)
     if (trace.track_name(t).starts_with("switch")) n.tracks.push_back(trace.track_name(t));
+  std::sort(n.tracks.begin(), n.tracks.end());
   return n;
 }
 

@@ -323,8 +323,8 @@ TEST(Scheduler, TwoHostsInterleaveDeterministically) {
 TEST(Scheduler, TimelineRecordsComputeAndIdle) {
   sim::Engine engine;
   sim::Timeline tl;
-  Scheduler sched(engine, zero_cost());
-  sched.set_timeline(&tl);
+  const obs::Hub hub{.timeline = &tl};
+  Scheduler sched(engine, zero_cost(), hub);
   sched.spawn([&] { sched.charge(100_us, sim::Activity::compute); }, {.name = "worker"});
   engine.run();
   tl.finish(engine.now());

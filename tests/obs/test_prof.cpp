@@ -10,6 +10,7 @@
 #include "cluster/report.hpp"
 #include "obs/json.hpp"
 #include "obs/prof.hpp"
+#include "rma/engine.hpp"
 
 namespace ncs::obs {
 namespace {
@@ -281,6 +282,72 @@ TEST(ProfiledRun, UnprofiledReportStaysV1) {
   const std::string report = cluster::report_json(c);
   EXPECT_NE(report.find("\"schema\":\"ncs-run-report-v1\""), std::string::npos);
   EXPECT_EQ(report.find("\"profile\""), std::string::npos);
+}
+
+// --- Late attach: a sink turned on after init_* reaches every module ------
+
+/// RMA fetch_adds, a fence, NIC-offloaded barriers and a ring of sends on
+/// the 4-host LAN, with `attach` called either before (`late` false) or after init_ncs_hsm.
+template <typename Attach>
+void run_every_plane(cluster::Cluster& c, bool late, Attach attach) {
+  if (!late) attach(c);
+  c.init_ncs_hsm();
+  if (late) attach(c);
+  c.run([&](int rank) {
+    rma::Engine& rma = c.rma(rank);
+    rma.create_window(0, 64);
+    c.node(rank).barrier();
+    for (int i = 0; i < 4; ++i) rma.fetch_add(0, 0, 0, 1);
+    rma.fence();
+    c.node(rank).barrier();
+    c.node(rank).send(0, 0, (rank + 1) % 4, Bytes(100, std::byte{1}));
+    (void)c.node(rank).recv(0, (rank + 3) % 4, 0);
+  });
+}
+
+cluster::ClusterConfig every_plane_config() {
+  cluster::ClusterConfig cfg = cluster::sun_atm_lan(4);
+  cfg.rma_enabled = true;
+  cfg.ncs.coll.nic_offload = true;
+  return cfg;
+}
+
+TEST(ClusterObs, ProfilingEnabledAfterInitSeesEveryPlane) {
+  const auto profile = [](cluster::Cluster& c) { c.enable_profiling(); };
+  cluster::Cluster early(every_plane_config());
+  run_every_plane(early, false, profile);
+  cluster::Cluster late(every_plane_config());
+  run_every_plane(late, true, profile);
+
+  const Profiler& e = *early.profiler();
+  const Profiler& l = *late.profiler();
+  EXPECT_GT(e.hist(Layer::rma).count(), 0u);
+  EXPECT_GT(e.hist(Layer::nic_coll).count(), 0u);
+  EXPECT_EQ(l.hist(Layer::rma).count(), e.hist(Layer::rma).count());
+  EXPECT_EQ(l.hist(Layer::nic_coll).count(), e.hist(Layer::nic_coll).count());
+  EXPECT_EQ(l.hist(Layer::end_to_end).count(), e.hist(Layer::end_to_end).count());
+  EXPECT_EQ(l.hist(Layer::nic_sar).count(), e.hist(Layer::nic_sar).count());
+}
+
+TEST(ClusterObs, TraceEnabledAfterInitSeesEveryPlane) {
+  cluster::Cluster c(every_plane_config());
+  run_every_plane(c, true, [](cluster::Cluster& cl) { cl.enable_trace(); });
+
+  const TraceLog& log = *c.trace();
+  const std::string doc = log.chrome_json();
+  const auto carries_events = [&](const std::string& name) {
+    for (int t = 0; t < log.track_count(); ++t) {
+      if (log.track_name(t) == name)
+        return doc.find("\"tid\":" + std::to_string(t + 1) + ",\"name\":\"") !=
+               std::string::npos;
+    }
+    return false;
+  };
+  for (int r = 0; r < 4; ++r) {
+    const std::string p = "p" + std::to_string(r);
+    for (const std::string& name : {p + "/mps/send", p + "/rma", p + "/nic_coll"})
+      EXPECT_TRUE(carries_events(name)) << name << " carries no events";
+  }
 }
 
 }  // namespace
