@@ -15,25 +15,13 @@ using namespace ncs::cluster;
 using apps::Image;
 using apps::make_test_image;
 using apps::pack_image;
+using apps::split_offset;
 using apps::unpack_image;
+using apps::with_offset;
 
 namespace {
 
 constexpr int kNodes = 4;  // 2 compressors -> 2 decompressors
-
-Bytes with_offset(int row, BytesView payload) {
-  Bytes out(4 + payload.size());
-  ByteWriter w(out);
-  w.u32(static_cast<std::uint32_t>(row));
-  w.bytes(payload);
-  return out;
-}
-
-std::pair<int, BytesView> split_offset(BytesView data) {
-  ByteReader r(data);
-  const int row = static_cast<int>(r.u32());
-  return {row, r.bytes(r.remaining())};
-}
 
 Duration run_case(int tpn, std::string* out, const std::string& trace_path) {
   const Calibration& cal = calibration();

@@ -6,59 +6,17 @@
 // bottleneck attribution table and writes table1_matmul_report.json
 // (ncs-run-report-v3) plus table1_matmul_trace.json (flow events stitch
 // each send span to its recv span across host tracks in Perfetto).
-#include <cstdio>
-
 #include "cluster/drivers.hpp"
-#include "cluster/bench_json.hpp"
-#include "cluster/bench_opts.hpp"
 #include "cluster/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ncs::cluster;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-
-  std::vector<TableRow> rows;
-  bool all_correct = true;
-
-  for (const int nodes : {1, 2, 4, 8}) {
-    TableRow row;
-    row.nodes = nodes;
-
-    const AppResult p4_eth = run_matmul_p4(sun_ethernet(0), nodes);
-    const AppResult ncs_eth = run_matmul_ncs(sun_ethernet(0), nodes);
-    row.p4_ethernet = p4_eth.elapsed;
-    row.ncs_ethernet = ncs_eth.elapsed;
-    all_correct = all_correct && p4_eth.correct && ncs_eth.correct;
-
-    if (nodes <= 4) {
-      const AppResult p4_atm = run_matmul_p4(sun_atm_lan(0), nodes);
-      const AppResult ncs_atm = run_matmul_ncs(sun_atm_lan(0), nodes);
-      row.p4_atm = p4_atm.elapsed;
-      row.ncs_atm = ncs_atm.elapsed;
-      all_correct = all_correct && p4_atm.correct && ncs_atm.correct;
-    } else {
-      row.has_atm = false;
-    }
-    rows.push_back(row);
-  }
-
-  std::fputs(format_table("Table 1: Execution times of Matrix Multiplication (seconds), "
-                          "128x128 doubles",
-                          "SUN/Ethernet", "NYNET (ATM) testbed", rows)
-                 .c_str(),
-             stdout);
-  std::printf("\nresult verification: %s\n", all_correct ? "all runs correct" : "FAILED");
-
-  if (opts.prof) {
-    ClusterConfig cfg = sun_atm_lan(0);
-    opts.apply(&cfg, "table1_matmul");
-    const AppResult profiled = run_matmul_ncs(std::move(cfg), 4);
-    all_correct = all_correct && profiled.correct;
-    std::printf("\n%s", profiled.bottleneck.c_str());
-    std::printf("profiled run artifacts: %s + matching _trace.json\n",
-                opts.report_path("table1_matmul").c_str());
-  }
-
-  if (opts.json) emit_json(table_json("table1_matmul", rows, all_correct), opts.json_path);
-  return all_correct ? 0 : 1;
+  return run_paper_table(
+      {.bench = "table1_matmul",
+       .title = "Table 1: Execution times of Matrix Multiplication (seconds), 128x128 doubles",
+       .nodes = {1, 2, 4, 8},
+       .p4 = run_matmul_p4,
+       .ncs = [](ClusterConfig cfg, int nodes) { return run_matmul_ncs(std::move(cfg), nodes); },
+       .prof_names_report = true},
+      argc, argv);
 }

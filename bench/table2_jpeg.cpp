@@ -1,58 +1,18 @@
 // Reproduces Table 2: "Total execution times (Seconds)" for the JPEG
 // compression/decompression pipeline (600 KB image; N/2 compressor and
 // N/2 decompressor nodes; 2/4/8 nodes; no 8-node ATM row in the paper).
-#include <cstdio>
-
 #include "cluster/drivers.hpp"
-#include "cluster/bench_json.hpp"
-#include "cluster/bench_opts.hpp"
 #include "cluster/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ncs::cluster;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-
-  std::vector<TableRow> rows;
-  bool all_correct = true;
-
-  for (const int nodes : {2, 4, 8}) {
-    TableRow row;
-    row.nodes = nodes;
-
-    const AppResult p4_eth = run_jpeg_p4(sun_ethernet(0), nodes);
-    const AppResult ncs_eth = run_jpeg_ncs(sun_ethernet(0), nodes);
-    row.p4_ethernet = p4_eth.elapsed;
-    row.ncs_ethernet = ncs_eth.elapsed;
-    all_correct = all_correct && p4_eth.correct && ncs_eth.correct;
-
-    if (nodes <= 4) {
-      const AppResult p4_atm = run_jpeg_p4(sun_atm_lan(0), nodes);
-      const AppResult ncs_atm = run_jpeg_ncs(sun_atm_lan(0), nodes);
-      row.p4_atm = p4_atm.elapsed;
-      row.ncs_atm = ncs_atm.elapsed;
-      all_correct = all_correct && p4_atm.correct && ncs_atm.correct;
-    } else {
-      row.has_atm = false;
-    }
-    rows.push_back(row);
-  }
-
-  std::fputs(format_table("Table 2: JPEG compression/decompression pipeline total times "
-                          "(seconds), 600 KB image",
-                          "SUN/Ethernet", "NYNET (ATM) testbed", rows)
-                 .c_str(),
-             stdout);
-  std::printf("\nresult verification (PSNR > 30 dB vs original): %s\n",
-              all_correct ? "all runs correct" : "FAILED");
-
-  if (opts.prof) {
-    ClusterConfig cfg = sun_atm_lan(0);
-    opts.apply(&cfg, "table2_jpeg");
-    const AppResult profiled = run_jpeg_ncs(std::move(cfg), 4);
-    all_correct = all_correct && profiled.correct;
-    std::printf("\n%s", profiled.bottleneck.c_str());
-  }
-
-  if (opts.json) emit_json(table_json("table2_jpeg", rows, all_correct), opts.json_path);
-  return all_correct ? 0 : 1;
+  return run_paper_table(
+      {.bench = "table2_jpeg",
+       .title = "Table 2: JPEG compression/decompression pipeline total times (seconds), "
+                "600 KB image",
+       .verification = " (PSNR > 30 dB vs original)",
+       .nodes = {2, 4, 8},
+       .p4 = run_jpeg_p4,
+       .ncs = [](ClusterConfig cfg, int nodes) { return run_jpeg_ncs(std::move(cfg), nodes); }},
+      argc, argv);
 }

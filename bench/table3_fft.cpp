@@ -1,57 +1,17 @@
 // Reproduces Table 3: "Execution times of FFT in seconds" — DIF FFT with
 // M = 512 sample points, 8 sample sets; p4 vs NCS_MTS/p4 (two threads per
 // node process) on both testbeds.
-#include <cstdio>
-
 #include "cluster/drivers.hpp"
-#include "cluster/bench_json.hpp"
-#include "cluster/bench_opts.hpp"
 #include "cluster/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ncs::cluster;
-  const BenchOptions opts = parse_bench_options(argc, argv);
-
-  std::vector<TableRow> rows;
-  bool all_correct = true;
-
-  for (const int nodes : {1, 2, 4, 8}) {
-    TableRow row;
-    row.nodes = nodes;
-
-    const AppResult p4_eth = run_fft_p4(sun_ethernet(0), nodes);
-    const AppResult ncs_eth = run_fft_ncs(sun_ethernet(0), nodes);
-    row.p4_ethernet = p4_eth.elapsed;
-    row.ncs_ethernet = ncs_eth.elapsed;
-    all_correct = all_correct && p4_eth.correct && ncs_eth.correct;
-
-    if (nodes <= 4) {
-      const AppResult p4_atm = run_fft_p4(sun_atm_lan(0), nodes);
-      const AppResult ncs_atm = run_fft_ncs(sun_atm_lan(0), nodes);
-      row.p4_atm = p4_atm.elapsed;
-      row.ncs_atm = ncs_atm.elapsed;
-      all_correct = all_correct && p4_atm.correct && ncs_atm.correct;
-    } else {
-      row.has_atm = false;
-    }
-    rows.push_back(row);
-  }
-
-  std::fputs(format_table("Table 3: Execution times of FFT (seconds), M=512, 8 sample sets",
-                          "SUN/Ethernet", "NYNET (ATM) testbed", rows)
-                 .c_str(),
-             stdout);
-  std::printf("\nresult verification (vs whole-array FFT + reference DFT): %s\n",
-              all_correct ? "all runs correct" : "FAILED");
-
-  if (opts.prof) {
-    ClusterConfig cfg = sun_atm_lan(0);
-    opts.apply(&cfg, "table3_fft");
-    const AppResult profiled = run_fft_ncs(std::move(cfg), 4);
-    all_correct = all_correct && profiled.correct;
-    std::printf("\n%s", profiled.bottleneck.c_str());
-  }
-
-  if (opts.json) emit_json(table_json("table3_fft", rows, all_correct), opts.json_path);
-  return all_correct ? 0 : 1;
+  return run_paper_table(
+      {.bench = "table3_fft",
+       .title = "Table 3: Execution times of FFT (seconds), M=512, 8 sample sets",
+       .verification = " (vs whole-array FFT + reference DFT)",
+       .nodes = {1, 2, 4, 8},
+       .p4 = run_fft_p4,
+       .ncs = [](ClusterConfig cfg, int nodes) { return run_fft_ncs(std::move(cfg), nodes); }},
+      argc, argv);
 }

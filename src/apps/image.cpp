@@ -80,4 +80,18 @@ Image unpack_image(BytesView data) {
   return img;
 }
 
+Bytes with_offset(int row_begin, BytesView payload) {
+  Bytes out(4 + payload.size());
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(row_begin));
+  w.bytes(payload);
+  return out;
+}
+
+std::pair<int, BytesView> split_offset(BytesView data) {
+  ByteReader r(data);
+  const int row = static_cast<int>(r.u32());
+  return {row, r.bytes(r.remaining())};
+}
+
 }  // namespace ncs::apps

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -37,5 +38,10 @@ double psnr(const Image& a, const Image& b);
 
 Bytes pack_image(const Image& img);
 Image unpack_image(BytesView data);
+
+/// Prefixes `payload` with the first row of the strip it carries, so the
+/// collector can place strips arriving in any order; split_offset undoes it.
+Bytes with_offset(int row_begin, BytesView payload);
+std::pair<int, BytesView> split_offset(BytesView data);
 
 }  // namespace ncs::apps

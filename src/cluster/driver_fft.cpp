@@ -1,6 +1,6 @@
 #include "apps/fft.hpp"
 #include "cluster/compute.hpp"
-#include "cluster/drivers.hpp"
+#include "cluster/harness.hpp"
 #include "common/assert.hpp"
 
 namespace ncs::cluster {
@@ -10,7 +10,6 @@ namespace {
 using apps::fft::assemble;
 using apps::fft::Complex;
 using apps::fft::fft;
-using apps::fft::flops_per_butterfly;
 using apps::fft::global_stage;
 using apps::fft::keeps_sum_half;
 using apps::fft::local_phase;
@@ -24,17 +23,18 @@ constexpr int kTypeB = 31;
 constexpr int kTypeExchange = 32;
 constexpr int kTypeResult = 33;
 
-double stage_cycles(std::size_t butterflies) {
-  return static_cast<double>(butterflies) * calibration().fft_cycles_per_butterfly;
-}
-
-/// The compute/communicate body shared by both variants: runs the paper's
-/// Fig 21 algorithm for one global thread. `exchange` sends `out` to the
-/// partner thread and returns its counterpart; `charge` prices butterflies.
-template <typename ExchangeFn, typename ChargeFn>
+/// The compute/communicate body shared by every variant: runs the paper's
+/// Fig 21 algorithm for one global thread, charging its butterflies to
+/// `host`. `exchange` sends `out` to the partner thread and returns its
+/// counterpart.
+template <typename ExchangeFn>
 std::vector<Complex> fft_thread_body(std::vector<Complex> a, std::vector<Complex> b,
                                      int thread_num, std::size_t m, std::size_t n_threads,
-                                     ExchangeFn&& exchange, ChargeFn&& charge) {
+                                     mts::Scheduler& host, ExchangeFn&& exchange) {
+  const auto charge = [&host](std::size_t butterflies) {
+    charge_compute(host, static_cast<double>(butterflies) *
+                             calibration().fft_cycles_per_butterfly);
+  };
   const std::size_t r = m / (2 * n_threads);
   std::vector<Complex> x(r), y(r);
   const int global_steps = log2_exact(n_threads);
@@ -62,240 +62,136 @@ std::vector<Complex> fft_thread_body(std::vector<Complex> a, std::vector<Complex
   return local;
 }
 
-bool verify_sets(const std::vector<std::vector<Complex>>& results, std::size_t m, int sets) {
-  for (int s = 0; s < sets; ++s) {
-    const auto reference = fft(make_samples(m, static_cast<std::uint64_t>(s)));
-    if (!apps::fft::approx_equal(results[static_cast<std::size_t>(s)], reference,
-                                 1e-6 * static_cast<double>(m)))
-      return false;
+/// The calibrated sample sets, their distributed spectra and the check
+/// against a whole-array FFT.
+struct Fft {
+  const std::size_t m = calibration().fft_m;
+  const int sets = calibration().fft_sample_sets;
+  std::vector<std::vector<Complex>> results =
+      std::vector<std::vector<Complex>>(static_cast<std::size_t>(sets));
+
+  std::vector<Complex> samples(int set) const {
+    return make_samples(m, static_cast<std::uint64_t>(set));
   }
-  return true;
-}
 
-}  // namespace
+  AppResult finish(AppResult r) const {
+    r.correct = true;
+    for (int s = 0; s < sets; ++s) {
+      const std::vector<Complex>& set = results[static_cast<std::size_t>(s)];
+      r.correct = r.correct &&
+                  apps::fft::approx_equal(set, fft(samples(s)), 1e-6 * static_cast<double>(m));
+      r.result_hash = fnv1a(set.data(), set.size() * sizeof(Complex), r.result_hash);
+    }
+    return r;
+  }
+};
 
-namespace {
-
-/// One-node rows (paper Tables 3): a single workstation, no host/node
+/// One-node rows (paper Table 3): a single workstation, no host/node
 /// traffic. `threads` > 1 splits the butterfly work across NCS threads
 /// with a local barrier per set — pure thread-maintenance overhead, which
 /// is why the paper's 1-node NCS times trail p4's slightly.
-AppResult run_fft_single(ClusterConfig base, int threads) {
-  const Calibration& cal = calibration();
-  const std::size_t m = cal.fft_m;
-  base.n_procs = 1;
-  Cluster cluster(std::move(base));
+AppResult fft_one_node(ClusterConfig base, int threads) {
+  Fft f;
+  const auto butterflies = static_cast<double>(f.m / 2 * static_cast<std::size_t>(log2_exact(f.m)));
+  const double cycles_per_set = butterflies * calibration().fft_cycles_per_butterfly;
+  return f.finish(run_hosted(std::move(base), 1, Stack::one_node, [&](Comm& comm) {
+    mts::Barrier barrier(comm.host(), threads);
+    comm.workers(threads, "fft", mts::kDefaultPriority, [&](int t) {
+      for (int set = 0; set < f.sets; ++set) {
+        charge_compute(comm.host(), cycles_per_set / threads);
+        barrier.arrive_and_wait();
+        if (t == 0) f.results[static_cast<std::size_t>(set)] = fft(f.samples(set));
+      }
+    });
+  }));
+}
 
-  std::vector<std::vector<Complex>> results(static_cast<std::size_t>(cal.fft_sample_sets));
-  const double butterflies_per_set = static_cast<double>(m / 2 * static_cast<std::size_t>(log2_exact(m)));
+/// Paper Figs 19 (p4, tpn = 1) and 20/21 (NCS): global thread g lives on
+/// process g/tpn + 1 as its local thread g%tpn. The host process has a
+/// single thread in both programs (paper Section 5.3.2): its main thread
+/// distributes and collects.
+AppResult fft_hosted(ClusterConfig base, int nodes, Stack stack, int tpn) {
+  Fft f;
+  const std::size_t m = f.m;
+  const auto n_threads = static_cast<std::size_t>(nodes * tpn);
+  NCS_ASSERT(nodes >= 1 && m % (2 * n_threads) == 0);
+  if (nodes == 1) return fft_one_node(std::move(base), tpn);
+  const std::size_t r = m / (2 * n_threads);
+  const auto proc_of = [tpn](int g) { return g / tpn + 1; };
+  const auto local_of = [tpn](int g) { return g % tpn; };
 
-  const Duration elapsed = cluster.run([&](int) {
-    mts::Scheduler& host = cluster.host(0);
-    if (threads == 1) {
-      for (int set = 0; set < cal.fft_sample_sets; ++set) {
-        charge_compute(host, butterflies_per_set * cal.fft_cycles_per_butterfly);
-        results[static_cast<std::size_t>(set)] = fft(make_samples(m, static_cast<std::uint64_t>(set)));
+  return f.finish(run_hosted(std::move(base), nodes, stack, [&](Comm& comm) {
+    const int rank = comm.rank();
+    if (rank == 0) {
+      for (int set = 0; set < f.sets; ++set) {
+        const auto samples = f.samples(set);
+        for (std::size_t g = 0; g < n_threads; ++g) {
+          const int gi = static_cast<int>(g);
+          comm.send(0, {kTypeA, local_of(gi), proc_of(gi)}, pack({samples.data() + g * r, r}));
+          comm.send(0, {kTypeB, local_of(gi), proc_of(gi)},
+                    pack({samples.data() + g * r + m / 2, r}));
+        }
+        std::vector<Complex> concatenated(m);
+        for (std::size_t g = 0; g < n_threads; ++g) {
+          const int gi = static_cast<int>(g);
+          const auto block = unpack(comm.recv({kTypeResult, local_of(gi), proc_of(gi)}, 0));
+          std::copy(block.begin(), block.end(),
+                    concatenated.begin() + static_cast<std::ptrdiff_t>(g * 2 * r));
+        }
+        f.results[static_cast<std::size_t>(set)] = assemble(concatenated);
       }
       return;
     }
-    auto barrier = std::make_shared<mts::Barrier>(host, threads);
-    std::vector<mts::Thread*> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.push_back(host.spawn([&, t, barrier] {
-        for (int set = 0; set < cal.fft_sample_sets; ++set) {
-          charge_compute(host, butterflies_per_set * cal.fft_cycles_per_butterfly / threads);
-          barrier->arrive_and_wait();
-          if (t == 0)
-            results[static_cast<std::size_t>(set)] =
-                fft(make_samples(m, static_cast<std::uint64_t>(set)));
-        }
-      }, {.name = "fft" + std::to_string(t)}));
-    }
-    for (mts::Thread* w : workers) host.join(w);
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = verify_sets(results, m, cal.fft_sample_sets);
-  for (const auto& set : results)
-    result.result_hash = fnv1a(set.data(), set.size() * sizeof(Complex), result.result_hash);
-  fill_runtime_stats(cluster, result);
-  return result;
+    comm.workers(tpn, "fft", mts::kDefaultPriority, [&](int t) {
+      const int thread_num = (rank - 1) * tpn + t;  // paper: 2*my_num + tid
+      const auto exchange = [&](int partner, Bytes out) {
+        const Addr peer{kTypeExchange, local_of(partner), proc_of(partner)};
+        comm.send(t, peer, out);
+        return unpack(comm.recv(peer, t));
+      };
+      for (int set = 0; set < f.sets; ++set) {
+        auto a = unpack(comm.recv({kTypeA, 0, 0}, t));
+        auto b = unpack(comm.recv({kTypeB, 0, 0}, t));
+        const auto local = fft_thread_body(std::move(a), std::move(b), thread_num, m,
+                                           n_threads, comm.host(), exchange);
+        comm.send(t, {kTypeResult, 0, 0}, pack(local));
+      }
+    });
+  }));
 }
 
 }  // namespace
 
 AppResult run_fft_p4(ClusterConfig base, int nodes) {
-  const Calibration& cal = calibration();
-  const std::size_t m = cal.fft_m;
-  const auto n_threads = static_cast<std::size_t>(nodes);  // one per node process
-  NCS_ASSERT(nodes >= 1 && m % (2 * n_threads) == 0);
-  if (nodes == 1) return run_fft_single(std::move(base), 1);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  p4::Runtime& rt = cluster.init_p4();
-
-  const std::size_t r = m / (2 * n_threads);
-  std::vector<std::vector<Complex>> results(static_cast<std::size_t>(cal.fft_sample_sets));
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    p4::Process& p = rt.process(rank);
-    if (rank == 0) {
-      for (int set = 0; set < cal.fft_sample_sets; ++set) {
-        const auto samples = make_samples(m, static_cast<std::uint64_t>(set));
-        for (int i = 1; i <= nodes; ++i) {
-          const std::size_t base_row = static_cast<std::size_t>(i - 1) * r;
-          p.send(kTypeA, i, pack({samples.data() + base_row, r}));
-          p.send(kTypeB, i, pack({samples.data() + base_row + m / 2, r}));
-        }
-        std::vector<Complex> concatenated(m);
-        for (int i = 1; i <= nodes; ++i) {
-          int type = kTypeResult;
-          int from = i;
-          const auto block = unpack(p.recv(&type, &from));
-          std::copy(block.begin(), block.end(),
-                    concatenated.begin() +
-                        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(i - 1) * 2 * r));
-        }
-        results[static_cast<std::size_t>(set)] = assemble(concatenated);
-      }
-    } else {
-      const int thread_num = rank - 1;
-      for (int set = 0; set < cal.fft_sample_sets; ++set) {
-        int type = kTypeA, from = 0;
-        auto a = unpack(p.recv(&type, &from));
-        type = kTypeB;
-        from = 0;
-        auto b = unpack(p.recv(&type, &from));
-
-        auto local = fft_thread_body(
-            std::move(a), std::move(b), thread_num, m, n_threads,
-            [&](int partner, Bytes out) {
-              p.send(kTypeExchange, partner + 1, out);
-              int t = kTypeExchange;
-              int f = partner + 1;
-              return unpack(p.recv(&t, &f));
-            },
-            [&](std::size_t butterflies) {
-              charge_compute(p.host(), stage_cycles(butterflies));
-            });
-        p.send(kTypeResult, 0, pack(local));
-      }
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = verify_sets(results, m, cal.fft_sample_sets);
-  for (const auto& set : results)
-    result.result_hash = fnv1a(set.data(), set.size() * sizeof(Complex), result.result_hash);
-  fill_runtime_stats(cluster, result);
-  return result;
+  return fft_hosted(std::move(base), nodes, Stack::p4, 1);
 }
 
 AppResult run_fft_ncs(ClusterConfig base, int nodes, NcsTier tier) {
-  const Calibration& cal = calibration();
-  const std::size_t m = cal.fft_m;
-  constexpr int kTpn = 2;  // two threads per node process (paper Fig 20)
-  const auto n_threads = static_cast<std::size_t>(nodes * kTpn);
-  NCS_ASSERT(nodes >= 1 && m % (2 * n_threads) == 0);
-  if (nodes == 1) return run_fft_single(std::move(base), kTpn);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  if (tier == NcsTier::nsm_p4) {
-    cluster.init_ncs_nsm();
-  } else {
-    cluster.init_ncs_hsm();
-  }
-
-  const std::size_t r = m / (2 * n_threads);
-  std::vector<std::vector<Complex>> results(static_cast<std::size_t>(cal.fft_sample_sets));
-
-  // Global thread g lives on process g/kTpn + 1 as local thread g%kTpn.
-  const auto proc_of = [](int g) { return g / kTpn + 1; };
-  const auto local_of = [](int g) { return g % kTpn; };
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
-
-    if (rank == 0) {
-      // Host process has a single thread (paper Section 5.3.2): the main
-      // thread itself distributes and collects.
-      for (int set = 0; set < cal.fft_sample_sets; ++set) {
-        const auto samples = make_samples(m, static_cast<std::uint64_t>(set));
-        for (std::size_t g = 0; g < n_threads; ++g) {
-          const std::size_t base_row = g * r;
-          const int gi = static_cast<int>(g);
-          node.send(0, local_of(gi), proc_of(gi), pack({samples.data() + base_row, r}));
-          node.send(0, local_of(gi), proc_of(gi), pack({samples.data() + base_row + m / 2, r}));
-        }
-        std::vector<Complex> concatenated(m);
-        for (std::size_t g = 0; g < n_threads; ++g) {
-          const int gi = static_cast<int>(g);
-          const auto block = unpack(node.recv(local_of(gi), proc_of(gi), 0));
-          std::copy(block.begin(), block.end(),
-                    concatenated.begin() + static_cast<std::ptrdiff_t>(g * 2 * r));
-        }
-        results[static_cast<std::size_t>(set)] = assemble(concatenated);
-      }
-    } else {
-      std::vector<int> tids(kTpn);
-      for (int t = 0; t < kTpn; ++t) {
-        tids[static_cast<std::size_t>(t)] = node.t_create([&, t, rank] {
-          const int thread_num = (rank - 1) * kTpn + t;  // paper: 2*my_num + tid
-          for (int set = 0; set < cal.fft_sample_sets; ++set) {
-            auto a = unpack(node.recv(0, 0, t));
-            auto b = unpack(node.recv(0, 0, t));
-
-            auto local = fft_thread_body(
-                std::move(a), std::move(b), thread_num, m, n_threads,
-                [&](int partner, Bytes out) {
-                  node.send(t, local_of(partner), proc_of(partner), out);
-                  return unpack(node.recv(local_of(partner), proc_of(partner), t));
-                },
-                [&](std::size_t butterflies) {
-                  charge_compute(node.host(), stage_cycles(butterflies));
-                });
-            node.send(t, 0, 0, pack(local));
-          }
-        }, mts::kDefaultPriority, "fft" + std::to_string(t));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = verify_sets(results, m, cal.fft_sample_sets);
-  for (const auto& set : results)
-    result.result_hash = fnv1a(set.data(), set.size() * sizeof(Complex), result.result_hash);
-  fill_runtime_stats(cluster, result);
-  return result;
+  return fft_hosted(std::move(base), nodes, ncs_stack(tier), 2);  // paper Fig 20
 }
 
 AppResult run_fft_coll(ClusterConfig base, int nodes, NcsTier tier) {
-  const Calibration& cal = calibration();
-  const std::size_t m = cal.fft_m;
+  Fft f;
+  const std::size_t m = f.m;
   const auto n_threads = static_cast<std::size_t>(nodes);  // one global thread per process
-  NCS_ASSERT(nodes >= 2 && (nodes & (nodes - 1)) == 0 && m % (2 * n_threads) == 0);
-  base.n_procs = nodes;
-  Cluster cluster(std::move(base));
-  if (tier == NcsTier::nsm_p4) {
-    cluster.init_ncs_nsm();
-  } else {
-    cluster.init_ncs_hsm();
-  }
-
+  NCS_ASSERT(nodes >= 1 && (nodes & (nodes - 1)) == 0 && m % (2 * n_threads) == 0);
   const std::size_t r = m / (2 * n_threads);
-  std::vector<std::vector<Complex>> results(static_cast<std::size_t>(cal.fft_sample_sets));
 
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
+  return f.finish(run_spmd(std::move(base), nodes, tier, [&](Comm& comm) {
+    mps::Node& node = comm.node();
+    const int rank = comm.rank();
+    const auto exchange = [&](int partner, Bytes out) {
+      node.send(0, 0, partner, out);
+      return unpack(node.recv(0, partner, 0));
+    };
 
-    for (int set = 0; set < cal.fft_sample_sets; ++set) {
+    for (int set = 0; set < f.sets; ++set) {
       // Rank 0 owns the samples; the two input halves reach their threads
       // as scatters. The butterfly exchanges stay point-to-point (they are
       // pairwise, not group traffic), and the spectrum converges by gather.
       std::vector<Bytes> a_slices, b_slices;
       if (rank == 0) {
-        const auto samples = make_samples(m, static_cast<std::uint64_t>(set));
+        const auto samples = f.samples(set);
         for (std::size_t g = 0; g < n_threads; ++g) {
           a_slices.push_back(pack({samples.data() + g * r, r}));
           b_slices.push_back(pack({samples.data() + g * r + m / 2, r}));
@@ -304,15 +200,8 @@ AppResult run_fft_coll(ClusterConfig base, int nodes, NcsTier tier) {
       auto a = unpack(node.scatter(0, a_slices));
       auto b = unpack(node.scatter(0, b_slices));
 
-      auto local = fft_thread_body(
-          std::move(a), std::move(b), rank, m, n_threads,
-          [&](int partner, Bytes out) {
-            node.send(0, 0, partner, out);
-            return unpack(node.recv(0, partner, 0));
-          },
-          [&](std::size_t butterflies) {
-            charge_compute(node.host(), stage_cycles(butterflies));
-          });
+      const auto local = fft_thread_body(std::move(a), std::move(b), rank, m, n_threads,
+                                         comm.host(), exchange);
 
       const auto gathered = node.gather(0, pack(local));
       if (rank == 0) {
@@ -322,17 +211,10 @@ AppResult run_fft_coll(ClusterConfig base, int nodes, NcsTier tier) {
           std::copy(block.begin(), block.end(),
                     concatenated.begin() + static_cast<std::ptrdiff_t>(g * 2 * r));
         }
-        results[static_cast<std::size_t>(set)] = assemble(concatenated);
+        f.results[static_cast<std::size_t>(set)] = assemble(concatenated);
       }
     }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = verify_sets(results, m, cal.fft_sample_sets);
-  for (const auto& set : results)
-    result.result_hash = fnv1a(set.data(), set.size() * sizeof(Complex), result.result_hash);
-  fill_runtime_stats(cluster, result);
-  return result;
+  }));
 }
 
 }  // namespace ncs::cluster

@@ -4,7 +4,7 @@
 #include "apps/image.hpp"
 #include "apps/jpeg/codec.hpp"
 #include "cluster/compute.hpp"
-#include "cluster/drivers.hpp"
+#include "cluster/harness.hpp"
 #include "common/assert.hpp"
 
 namespace ncs::cluster {
@@ -15,27 +15,13 @@ using apps::Image;
 using apps::make_test_image;
 using apps::pack_image;
 using apps::psnr;
+using apps::split_offset;
 using apps::unpack_image;
+using apps::with_offset;
 
 constexpr int kTypeStrip = 20;
 constexpr int kTypeCompressed = 21;
 constexpr int kTypeBack = 22;
-
-/// Messages carry the strip's first row so the master can place results
-/// arriving in any order.
-Bytes with_offset(int row_begin, BytesView payload) {
-  Bytes out(4 + payload.size());
-  ByteWriter w(out);
-  w.u32(static_cast<std::uint32_t>(row_begin));
-  w.bytes(payload);
-  return out;
-}
-
-std::pair<int, BytesView> split_offset(BytesView data) {
-  ByteReader r(data);
-  const int row = static_cast<int>(r.u32());
-  return {row, r.bytes(r.remaining())};
-}
 
 /// Paste `strip` into `out` starting at `row_begin`.
 void paste(Image& out, const Image& strip, int row_begin) {
@@ -58,193 +44,113 @@ double decompress_cycles(std::size_t pixels) {
 /// five-stage pipeline).
 double read_cycles(const Image& img) { return static_cast<double>(img.pixels.size()) * 2.0; }
 
+/// The calibrated test image, its distributed reconstruction and the
+/// reconstruction's quality check.
+struct Jpeg {
+  const Image original =
+      make_test_image(calibration().jpeg_width, calibration().jpeg_height, 7);
+  Image reconstructed{original.width, original.height,
+                      std::vector<std::uint8_t>(original.pixels.size(), 0)};
+
+  /// `extra_ok` folds in a variant's own check.
+  AppResult finish(AppResult r, bool extra_ok = true) const {
+    r.correct = psnr(original, reconstructed) > 30.0 && extra_ok;
+    r.result_hash = fnv1a(reconstructed.pixels.data(),
+                          reconstructed.pixels.size() * sizeof(reconstructed.pixels[0]));
+    return r;
+  }
+};
+
+/// The five-stage pipeline (paper Figs 17/18): the host reads the image
+/// and distributes `compressors * tpn` pieces, node i (1..N/2) compresses
+/// and ships to its partner decompressor i + N/2, which returns the piece
+/// to host worker 0. p4 runs it with one worker per process (tpn = 1),
+/// NCS with two.
+AppResult jpeg(ClusterConfig base, int nodes, Stack stack, int tpn) {
+  const int height = calibration().jpeg_height;
+  NCS_ASSERT(nodes >= 2 && nodes % 2 == 0);
+  const int compressors = nodes / 2;
+  NCS_ASSERT(height % (compressors * tpn) == 0);
+  const int piece_rows = height / (compressors * tpn);
+  Jpeg j;
+
+  return j.finish(run_hosted(std::move(base), nodes, stack, [&](Comm& comm) {
+    const int rank = comm.rank();
+    if (rank == 0) {
+      // Worker 0 reads the image and unblocks worker 1 (NCS_unblock(tid2)
+      // / NCS_block() in the paper); each then distributes its pieces, and
+      // worker 0 collects every decompressed piece.
+      mts::Event image_read(comm.host());
+      comm.workers(tpn, "host-t", mts::kDefaultPriority, [&](int t) {
+        if (t == 0) {
+          charge_compute(comm.host(), read_cycles(j.original));
+          image_read.set();
+        } else {
+          image_read.wait();
+        }
+        for (int i = 1; i <= compressors; ++i) {
+          const int row = ((i - 1) * tpn + t) * piece_rows;
+          comm.send(t, {kTypeStrip, t, i},
+                    with_offset(row, pack_image(j.original.strip(row, row + piece_rows))));
+        }
+        if (t != 0) return;
+        for (int k = 0; k < compressors * tpn; ++k) {
+          const Bytes data = comm.recv({kTypeBack, mps::kAnyThread, mps::kAnyProcess}, 0);
+          const auto [row, payload] = split_offset(data);
+          paste(j.reconstructed, unpack_image(payload), row);
+        }
+      });
+    } else if (rank <= compressors) {
+      comm.workers(tpn, "compress", mts::kDefaultPriority, [&](int t) {
+        const Bytes data = comm.recv({kTypeStrip, t, 0}, t);
+        const auto [row, payload] = split_offset(data);
+        const Image strip = unpack_image(payload);
+        charge_compute(comm.host(), compress_cycles(strip));
+        const Bytes stream = apps::jpeg::compress(strip);
+        comm.send(t, {kTypeCompressed, t, rank + compressors}, with_offset(row, stream));
+      });
+    } else {
+      comm.workers(tpn, "decompress", mts::kDefaultPriority, [&](int t) {
+        const Bytes data = comm.recv({kTypeCompressed, t, rank - compressors}, t);
+        const auto [row, payload] = split_offset(data);
+        const Image strip = apps::jpeg::decompress(payload);
+        charge_compute(comm.host(), decompress_cycles(strip.pixels.size()));
+        comm.send(t, {kTypeBack, 0, 0}, with_offset(row, pack_image(strip)));
+      });
+    }
+  }));
+}
+
 }  // namespace
 
 AppResult run_jpeg_p4(ClusterConfig base, int nodes) {
-  const Calibration& cal = calibration();
-  NCS_ASSERT(nodes >= 2 && nodes % 2 == 0);
-  const int compressors = nodes / 2;
-  NCS_ASSERT(cal.jpeg_height % compressors == 0);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  p4::Runtime& rt = cluster.init_p4();
-
-  const Image original = make_test_image(cal.jpeg_width, cal.jpeg_height, 7);
-  Image reconstructed;
-  reconstructed.width = original.width;
-  reconstructed.height = original.height;
-  reconstructed.pixels.assign(original.pixels.size(), 0);
-  const int strip_rows = cal.jpeg_height / compressors;
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    p4::Process& p = rt.process(rank);
-    if (rank == 0) {
-      // Stage 1: read + distribute the uncompressed image.
-      charge_compute(p.host(), read_cycles(original));
-      for (int i = 1; i <= compressors; ++i) {
-        const int row = (i - 1) * strip_rows;
-        p.send(kTypeStrip, i, with_offset(row, pack_image(original.strip(row, row + strip_rows))));
-      }
-      // Stage 5: collect + combine decompressed strips.
-      for (int k = 0; k < compressors; ++k) {
-        int type = kTypeBack;
-        int from = p4::kAnyProc;
-        const Bytes data = p.recv(&type, &from);
-        const auto [row, payload] = split_offset(data);
-        paste(reconstructed, unpack_image(payload), row);
-      }
-    } else if (rank <= compressors) {
-      // Stage 2: compress.
-      int type = kTypeStrip;
-      int from = 0;
-      const Bytes data = p.recv(&type, &from);
-      const auto [row, payload] = split_offset(data);
-      const Image strip = unpack_image(payload);
-      charge_compute(p.host(), compress_cycles(strip));
-      const Bytes stream = apps::jpeg::compress(strip);
-      // Stage 3: ship compressed data to the partner decompressor.
-      p.send(kTypeCompressed, rank + compressors, with_offset(row, stream));
-    } else {
-      // Stage 4: decompress and return.
-      int type = kTypeCompressed;
-      int from = rank - compressors;
-      const Bytes data = p.recv(&type, &from);
-      const auto [row, payload] = split_offset(data);
-      const Image strip = apps::jpeg::decompress(payload);
-      charge_compute(p.host(), decompress_cycles(strip.pixels.size()));
-      p.send(kTypeBack, 0, with_offset(row, pack_image(strip)));
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = psnr(original, reconstructed) > 30.0;
-  result.result_hash = fnv1a(reconstructed.pixels.data(),
-                             reconstructed.pixels.size() * sizeof(reconstructed.pixels[0]));
-  fill_runtime_stats(cluster, result);
-  return result;
+  return jpeg(std::move(base), nodes, Stack::p4, 1);
 }
 
 AppResult run_jpeg_ncs(ClusterConfig base, int nodes, NcsTier tier) {
-  const Calibration& cal = calibration();
-  NCS_ASSERT(nodes >= 2 && nodes % 2 == 0);
-  const int compressors = nodes / 2;
-  constexpr int kTpn = 2;  // threads per node process (paper Section 5.2)
-  NCS_ASSERT(cal.jpeg_height % (compressors * kTpn) == 0);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  if (tier == NcsTier::nsm_p4) {
-    cluster.init_ncs_nsm();
-  } else {
-    cluster.init_ncs_hsm();
-  }
-
-  const Image original = make_test_image(cal.jpeg_width, cal.jpeg_height, 7);
-  Image reconstructed;
-  reconstructed.width = original.width;
-  reconstructed.height = original.height;
-  reconstructed.pixels.assign(original.pixels.size(), 0);
-  const int half_rows = cal.jpeg_height / (compressors * kTpn);
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
-
-    if (rank == 0) {
-      // Host (paper Fig 17): thread 0 reads the image, unblocks thread 1,
-      // distributes its half-strips and collects every decompressed piece;
-      // thread 1 distributes the other halves as soon as the read is done.
-      auto image_read = std::make_shared<mts::Event>(node.host());
-      std::vector<int> tids(kTpn);
-      for (int t = 0; t < kTpn; ++t) {
-        tids[static_cast<std::size_t>(t)] = node.t_create([&, t, image_read] {
-          if (t == 0) {
-            charge_compute(node.host(), read_cycles(original));
-            image_read->set();  // NCS_unblock(tid2) in the paper
-          } else {
-            image_read->wait();  // NCS_block() in the paper
-          }
-          for (int i = 1; i <= compressors; ++i) {
-            const int slice = (i - 1) * kTpn + t;
-            const int row = slice * half_rows;
-            node.send(t, t, i,
-                      with_offset(row, pack_image(original.strip(row, row + half_rows))));
-          }
-          if (t == 0) {
-            for (int k = 0; k < compressors * kTpn; ++k) {
-              const Bytes data = node.recv(mps::kAnyThread, mps::kAnyProcess, 0);
-              const auto [row, payload] = split_offset(data);
-              paste(reconstructed, unpack_image(payload), row);
-            }
-          }
-        }, mts::kDefaultPriority, "host-t" + std::to_string(t));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    } else if (rank <= compressors) {
-      std::vector<int> tids(kTpn);
-      for (int t = 0; t < kTpn; ++t) {
-        tids[static_cast<std::size_t>(t)] = node.t_create([&, t, rank] {
-          const Bytes data = node.recv(t, 0, t);
-          const auto [row, payload] = split_offset(data);
-          const Image strip = unpack_image(payload);
-          charge_compute(node.host(), compress_cycles(strip));
-          const Bytes stream = apps::jpeg::compress(strip);
-          node.send(t, t, rank + compressors, with_offset(row, stream));
-        }, mts::kDefaultPriority, "compress" + std::to_string(t));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    } else {
-      std::vector<int> tids(kTpn);
-      for (int t = 0; t < kTpn; ++t) {
-        tids[static_cast<std::size_t>(t)] = node.t_create([&, t, rank] {
-          const Bytes data = node.recv(t, rank - compressors, t);
-          const auto [row, payload] = split_offset(data);
-          const Image strip = apps::jpeg::decompress(payload);
-          charge_compute(node.host(), decompress_cycles(strip.pixels.size()));
-          node.send(t, 0, 0, with_offset(row, pack_image(strip)));
-        }, mts::kDefaultPriority, "decompress" + std::to_string(t));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = psnr(original, reconstructed) > 30.0;
-  result.result_hash = fnv1a(reconstructed.pixels.data(),
-                             reconstructed.pixels.size() * sizeof(reconstructed.pixels[0]));
-  fill_runtime_stats(cluster, result);
-  return result;
+  return jpeg(std::move(base), nodes, ncs_stack(tier), 2);  // paper Section 5.2
 }
 
 AppResult run_jpeg_coll(ClusterConfig base, int nodes, NcsTier tier) {
-  const Calibration& cal = calibration();
-  NCS_ASSERT(nodes >= 1 && cal.jpeg_height % nodes == 0);
-  base.n_procs = nodes;
-  Cluster cluster(std::move(base));
-  if (tier == NcsTier::nsm_p4) {
-    cluster.init_ncs_nsm();
-  } else {
-    cluster.init_ncs_hsm();
-  }
-
-  const Image original = make_test_image(cal.jpeg_width, cal.jpeg_height, 7);
-  Image reconstructed;
-  reconstructed.width = original.width;
-  reconstructed.height = original.height;
-  reconstructed.pixels.assign(original.pixels.size(), 0);
-  const int strip_rows = cal.jpeg_height / nodes;
+  const int height = calibration().jpeg_height;
+  NCS_ASSERT(nodes >= 1 && height % nodes == 0);
+  const int strip_rows = height / nodes;
+  Jpeg j;
   double distributed_psnr = 0.0;
 
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
+  const AppResult r = run_spmd(std::move(base), nodes, tier, [&](Comm& comm) {
+    mps::Node& node = comm.node();
+    const int rank = comm.rank();
 
     // Rank 0 reads and scatters the strips; every rank round-trips its own
     // strip through the codec (both pipeline stages charged locally) and
     // the decompressed pieces converge back by gather.
     std::vector<Bytes> strips;
     if (rank == 0) {
-      charge_compute(node.host(), read_cycles(original));
+      charge_compute(node.host(), read_cycles(j.original));
       for (int i = 0; i < nodes; ++i) {
         const int row = i * strip_rows;
-        strips.push_back(pack_image(original.strip(row, row + strip_rows)));
+        strips.push_back(pack_image(j.original.strip(row, row + strip_rows)));
       }
     }
     const Image strip = unpack_image(node.scatter(0, strips));
@@ -256,7 +162,7 @@ AppResult run_jpeg_coll(ClusterConfig base, int nodes, NcsTier tier) {
     const auto gathered = node.gather(0, pack_image(back));
     if (rank == 0) {
       for (int i = 0; i < nodes; ++i)
-        paste(reconstructed, unpack_image(gathered[static_cast<std::size_t>(i)]),
+        paste(j.reconstructed, unpack_image(gathered[static_cast<std::size_t>(i)]),
               i * strip_rows);
     }
 
@@ -268,18 +174,12 @@ AppResult run_jpeg_coll(ClusterConfig base, int nodes, NcsTier tier) {
       sse += d * d;
     }
     const auto total = node.allreduce_sum(std::span<const double>(&sse, 1));
-    const double mse = total[0] / static_cast<double>(original.pixels.size());
+    const double mse = total[0] / static_cast<double>(j.original.pixels.size());
     const double quality =
         mse <= 0.0 ? 100.0 : 10.0 * std::log10(255.0 * 255.0 / mse);
     if (rank == 0) distributed_psnr = quality;
   });
-
-  AppResult result{elapsed, false};
-  result.correct = psnr(original, reconstructed) > 30.0 && distributed_psnr > 30.0;
-  result.result_hash = fnv1a(reconstructed.pixels.data(),
-                             reconstructed.pixels.size() * sizeof(reconstructed.pixels[0]));
-  fill_runtime_stats(cluster, result);
-  return result;
+  return j.finish(r, distributed_psnr > 30.0);
 }
 
 }  // namespace ncs::cluster

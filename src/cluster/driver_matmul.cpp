@@ -2,7 +2,7 @@
 
 #include "apps/matmul.hpp"
 #include "cluster/compute.hpp"
-#include "cluster/drivers.hpp"
+#include "cluster/harness.hpp"
 #include "common/assert.hpp"
 
 namespace ncs::cluster {
@@ -21,245 +21,145 @@ constexpr int kTypeB = 10;
 constexpr int kTypeA = 11;
 constexpr int kTypeC = 12;
 
-void init_ncs(Cluster& c, NcsTier tier) {
-  if (tier == NcsTier::nsm_p4) {
-    c.init_ncs_nsm();
-  } else {
-    c.init_ncs_hsm();
+/// C = A x B on the calibrated n x n inputs, with its verification.
+struct Matmul {
+  const int n = calibration().matmul_n;
+  const Matrix a = make_matrix(n, 1);
+  const Matrix b = make_matrix(n, 2);
+  Matrix c = Matrix(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
+
+  /// Row block `block` of `rows` rows.
+  const double* a_rows(int block, int rows) const {
+    return a.data() + static_cast<std::ptrdiff_t>(block) * rows * n;
   }
-}
+  double* c_rows(int block, int rows) {
+    return c.data() + static_cast<std::ptrdiff_t>(block) * rows * n;
+  }
+  void store(int block, const std::vector<double>& rows_data, int rows) {
+    std::memcpy(c_rows(block, rows), rows_data.data(), rows_data.size() * sizeof(double));
+  }
+  void charge(mts::Scheduler& host, int rows) const {
+    charge_compute(host, op_count(rows, n) * calibration().matmul_cycles_per_op);
+  }
 
-}  // namespace
-
-namespace {
+  AppResult finish(AppResult r) const {
+    r.correct = apps::matmul::approx_equal(c, multiply(a, b, n), 1e-9);
+    r.result_hash = fnv1a(c.data(), c.size() * sizeof(double));
+    return r;
+  }
+};
 
 /// The paper's one-node rows are a single workstation running the whole
 /// problem (both tables show p4 ~= NCS there, i.e. no host/node message
 /// traffic): sequential compute, plus thread-maintenance overhead in the
 /// NCS variant.
-AppResult run_matmul_single(ClusterConfig base, int threads) {
-  const Calibration& cal = calibration();
-  const int n = cal.matmul_n;
-  base.n_procs = 1;
-  Cluster cluster(std::move(base));
-  if (threads > 1) cluster.init_ncs_nsm();  // spawns the NCS system threads
+AppResult matmul_one_node(ClusterConfig base, int threads) {
+  Matmul m;
+  const int rows = m.n / threads;
+  const Stack stack = threads > 1 ? Stack::one_node_nsm : Stack::one_node;
+  return m.finish(run_hosted(std::move(base), 1, stack, [&](Comm& comm) {
+    comm.workers(threads, "compute", mts::kDefaultPriority, [&](int t) {
+      m.charge(comm.host(), rows);
+      multiply_rows(m.a_rows(t, rows), m.b.data(), m.c_rows(t, rows), m.n, 0, rows);
+    });
+  }));
+}
 
-  const Matrix a = make_matrix(n, 1);
-  const Matrix b = make_matrix(n, 2);
-  Matrix c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
+/// Paper Figs 13 (p4, tpn = 1) and 14 (NCS): host worker t drives worker
+/// t of every node and owns the matching slices of C.
+AppResult matmul(ClusterConfig base, int nodes, Stack stack, int tpn) {
+  const int n = calibration().matmul_n;
+  NCS_ASSERT(nodes >= 1 && tpn >= 1 && n % (nodes * tpn) == 0);
+  if (nodes == 1) return matmul_one_node(std::move(base), tpn);
+  Matmul m;
+  const int rpt = n / (nodes * tpn);  // rows per thread
+  // Fig 13 sends B and then A to one node at a time. Fig 14 sends every B
+  // first, from worker 0 one priority level above its siblings (the
+  // multi-level priority scheduler is an NCS feature, Fig 9), so no B
+  // queues behind an A slice: every node thread depends on it.
+  const bool b_first = stack != Stack::p4;
 
-  const Duration elapsed = cluster.run([&](int) {
-    mts::Scheduler& host = cluster.host(0);
-    if (threads == 1) {
-      charge_compute(host, op_count(n, n) * cal.matmul_cycles_per_op);
-      multiply_rows(a.data(), b.data(), c.data(), n, 0, n);
+  return m.finish(run_hosted(std::move(base), nodes, stack, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      const int lead = b_first ? mts::kDefaultPriority - 1 : mts::kDefaultPriority;
+      comm.workers(tpn, "host-t", lead, [&](int t) {
+        const auto send_b = [&](int i) {
+          comm.send(t, {kTypeB, 0, i}, pack_rows(m.b.data(), n, n));
+        };
+        if (b_first && t == 0)
+          for (int i = 1; i <= nodes; ++i) send_b(i);
+        for (int i = 1; i <= nodes; ++i) {
+          if (!b_first) send_b(i);
+          comm.send(t, {kTypeA, t, i}, pack_rows(m.a_rows((i - 1) * tpn + t, rpt), rpt, n));
+        }
+        for (int i = 1; i <= nodes; ++i)
+          m.store((i - 1) * tpn + t, unpack_rows(comm.recv({kTypeC, t, i}, t)), rpt);
+      });
       return;
     }
-    const int rows = n / threads;
-    std::vector<mts::Thread*> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.push_back(host.spawn([&, t] {
-        charge_compute(host, op_count(rows, n) * cal.matmul_cycles_per_op);
-        multiply_rows(a.data() + static_cast<std::ptrdiff_t>(t) * rows * n, b.data(),
-                      c.data() + static_cast<std::ptrdiff_t>(t) * rows * n, n, 0, rows);
-      }, {.name = "compute" + std::to_string(t)}));
-    }
-    for (mts::Thread* w : workers) host.join(w);
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = apps::matmul::approx_equal(c, multiply(a, b, n), 1e-9);
-  result.result_hash = fnv1a(c.data(), c.size() * sizeof(double));
-  fill_runtime_stats(cluster, result);
-  return result;
+    // Node process: worker 0 receives B into process-shared storage and
+    // unblocks its siblings (shared address space, paper Section 5.1).
+    std::vector<double> b_local;
+    mts::Event b_ready(comm.host());
+    comm.workers(tpn, "compute", mts::kDefaultPriority, [&](int t) {
+      if (t == 0) {
+        b_local = unpack_rows(comm.recv({kTypeB, 0, 0}, 0));
+        b_ready.set();
+      } else {
+        b_ready.wait();
+      }
+      const auto a_rows = unpack_rows(comm.recv({kTypeA, t, 0}, t));
+      std::vector<double> c_rows(static_cast<std::size_t>(rpt) * static_cast<std::size_t>(n));
+      m.charge(comm.host(), rpt);
+      multiply_rows(a_rows.data(), b_local.data(), c_rows.data(), n, 0, rpt);
+      comm.send(t, {kTypeC, t, 0}, pack_rows(c_rows.data(), rpt, n));
+    });
+  }));
 }
 
 }  // namespace
 
 AppResult run_matmul_p4(ClusterConfig base, int nodes) {
-  const Calibration& cal = calibration();
-  const int n = cal.matmul_n;
-  NCS_ASSERT(nodes >= 1 && n % nodes == 0);
-  if (nodes == 1) return run_matmul_single(std::move(base), 1);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  p4::Runtime& rt = cluster.init_p4();
-
-  const Matrix a = make_matrix(n, 1);
-  const Matrix b = make_matrix(n, 2);
-  Matrix c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-  const int rows = n / nodes;
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    p4::Process& p = rt.process(rank);
-    if (rank == 0) {
-      // Host process (paper Fig 13): whole B + a row block of A per node.
-      for (int i = 1; i <= nodes; ++i) {
-        p.send(kTypeB, i, pack_rows(b.data(), n, n));
-        p.send(kTypeA, i,
-               pack_rows(a.data() + static_cast<std::ptrdiff_t>(i - 1) * rows * n, rows, n));
-      }
-      for (int i = 1; i <= nodes; ++i) {
-        int type = kTypeC;
-        int from = i;
-        const Bytes data = p.recv(&type, &from);
-        const auto c_rows = unpack_rows(data);
-        std::memcpy(c.data() + static_cast<std::ptrdiff_t>(i - 1) * rows * n, c_rows.data(),
-                    c_rows.size() * sizeof(double));
-      }
-    } else {
-      int type = kTypeB;
-      int from = 0;
-      const auto b_local = unpack_rows(p.recv(&type, &from));
-      type = kTypeA;
-      from = 0;
-      const auto a_rows = unpack_rows(p.recv(&type, &from));
-
-      std::vector<double> c_rows(static_cast<std::size_t>(rows) * static_cast<std::size_t>(n));
-      charge_compute(p.host(), op_count(rows, n) * calibration().matmul_cycles_per_op);
-      multiply_rows(a_rows.data(), b_local.data(), c_rows.data(), n, 0, rows);
-      p.send(kTypeC, 0, pack_rows(c_rows.data(), rows, n));
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = apps::matmul::approx_equal(c, multiply(a, b, n), 1e-9);
-  result.result_hash = fnv1a(c.data(), c.size() * sizeof(double));
-  fill_runtime_stats(cluster, result);
-  return result;
+  return matmul(std::move(base), nodes, Stack::p4, 1);
 }
 
 AppResult run_matmul_ncs(ClusterConfig base, int nodes, NcsTier tier, int threads_per_node) {
-  const Calibration& cal = calibration();
-  const int n = cal.matmul_n;
-  const int tpn = threads_per_node;
-  NCS_ASSERT(nodes >= 1 && tpn >= 1 && n % (nodes * tpn) == 0);
-  if (nodes == 1) return run_matmul_single(std::move(base), tpn);
-  base.n_procs = nodes + 1;
-  Cluster cluster(std::move(base));
-  init_ncs(cluster, tier);
-
-  const Matrix a = make_matrix(n, 1);
-  const Matrix b = make_matrix(n, 2);
-  Matrix c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-  const int rpt = n / (nodes * tpn);  // rows per thread
-
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
-
-    if (rank == 0) {
-      // Host (paper Fig 14): thread t drives thread t of every node and
-      // owns the matching slice of C. B goes out once per node (all node
-      // threads share their process's address space), and first — every
-      // node thread depends on it. Thread 0 runs one priority level above
-      // its sibling so the B transfers are never queued behind A slices
-      // (the multi-level priority scheduler is an NCS feature, Fig 9).
-      std::vector<int> tids;
-      for (int t = 0; t < tpn; ++t) {
-        tids.push_back(node.t_create([&, t] {
-          if (t == 0)
-            for (int i = 1; i <= nodes; ++i) node.send(0, 0, i, pack_rows(b.data(), n, n));
-          for (int i = 1; i <= nodes; ++i) {
-            const int slice = (i - 1) * tpn + t;
-            node.send(t, t, i,
-                      pack_rows(a.data() + static_cast<std::ptrdiff_t>(slice) * rpt * n, rpt, n));
-          }
-          for (int i = 1; i <= nodes; ++i) {
-            const Bytes data = node.recv(t, i, t);
-            const auto c_rows = unpack_rows(data);
-            const int slice = (i - 1) * tpn + t;
-            std::memcpy(c.data() + static_cast<std::ptrdiff_t>(slice) * rpt * n, c_rows.data(),
-                        c_rows.size() * sizeof(double));
-          }
-        }, t == 0 ? mts::kDefaultPriority - 1 : mts::kDefaultPriority,
-           "host-t" + std::to_string(t)));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    } else {
-      // Node process: thread 0 receives B into process-shared storage and
-      // signals the siblings (shared address space, paper Section 5.1).
-      auto b_local = std::make_shared<std::vector<double>>();
-      auto b_ready = std::make_shared<mts::Event>(node.host());
-
-      std::vector<int> tids;
-      for (int t = 0; t < tpn; ++t) {
-        tids.push_back(node.t_create([&, t, b_local, b_ready] {
-          if (t == 0) {
-            *b_local = unpack_rows(node.recv(0, 0, 0));
-            b_ready->set();
-          } else {
-            b_ready->wait();
-          }
-          const auto a_rows = unpack_rows(node.recv(t, 0, t));
-          std::vector<double> c_rows(static_cast<std::size_t>(rpt) *
-                                     static_cast<std::size_t>(n));
-          charge_compute(node.host(), op_count(rpt, n) * calibration().matmul_cycles_per_op);
-          multiply_rows(a_rows.data(), b_local->data(), c_rows.data(), n, 0, rpt);
-          node.send(t, t, 0, pack_rows(c_rows.data(), rpt, n));
-        }, mts::kDefaultPriority, "compute" + std::to_string(t)));
-      }
-      for (int tid : tids) node.host().join(node.user_thread(tid));
-    }
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = apps::matmul::approx_equal(c, multiply(a, b, n), 1e-9);
-  result.result_hash = fnv1a(c.data(), c.size() * sizeof(double));
-  fill_runtime_stats(cluster, result);
-  return result;
+  return matmul(std::move(base), nodes, ncs_stack(tier), threads_per_node);
 }
 
 AppResult run_matmul_coll(ClusterConfig base, int nodes, NcsTier tier) {
-  const Calibration& cal = calibration();
-  const int n = cal.matmul_n;
+  Matmul m;
+  const int n = m.n;
   NCS_ASSERT(nodes >= 1 && n % nodes == 0);
-  base.n_procs = nodes;
-  Cluster cluster(std::move(base));
-  init_ncs(cluster, tier);
-
-  const Matrix a = make_matrix(n, 1);
-  const Matrix b = make_matrix(n, 2);
-  Matrix c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
   const int rows = n / nodes;
 
-  const Duration elapsed = cluster.run([&](int rank) {
-    mps::Node& node = cluster.node(rank);
+  return m.finish(run_spmd(std::move(base), nodes, tier, [&](Comm& comm) {
+    mps::Node& node = comm.node();
+    const int rank = comm.rank();
 
     // B to everyone (tree fan-out at scale), then each rank's row block of
     // A in one scatter — the Fig 13/14 traffic as two collectives.
     Bytes b_blob;
-    if (rank == 0) b_blob = pack_rows(b.data(), n, n);
+    if (rank == 0) b_blob = pack_rows(m.b.data(), n, n);
     const auto b_local = unpack_rows(node.bcast(0, b_blob));
 
     std::vector<Bytes> a_slices;
     if (rank == 0) {
       a_slices.reserve(static_cast<std::size_t>(nodes));
-      for (int i = 0; i < nodes; ++i)
-        a_slices.push_back(
-            pack_rows(a.data() + static_cast<std::ptrdiff_t>(i) * rows * n, rows, n));
+      for (int i = 0; i < nodes; ++i) a_slices.push_back(pack_rows(m.a_rows(i, rows), rows, n));
     }
     const auto a_rows = unpack_rows(node.scatter(0, a_slices));
 
     std::vector<double> c_rows(static_cast<std::size_t>(rows) * static_cast<std::size_t>(n));
-    charge_compute(node.host(), op_count(rows, n) * cal.matmul_cycles_per_op);
+    m.charge(comm.host(), rows);
     multiply_rows(a_rows.data(), b_local.data(), c_rows.data(), n, 0, rows);
 
     const auto gathered = node.gather(0, pack_rows(c_rows.data(), rows, n));
-    if (rank == 0) {
-      for (int i = 0; i < nodes; ++i) {
-        const auto block = unpack_rows(gathered[static_cast<std::size_t>(i)]);
-        std::memcpy(c.data() + static_cast<std::ptrdiff_t>(i) * rows * n, block.data(),
-                    block.size() * sizeof(double));
-      }
-    }
+    if (rank == 0)
+      for (int i = 0; i < nodes; ++i)
+        m.store(i, unpack_rows(gathered[static_cast<std::size_t>(i)]), rows);
     node.barrier();
-  });
-
-  AppResult result{elapsed, false};
-  result.correct = apps::matmul::approx_equal(c, multiply(a, b, n), 1e-9);
-  result.result_hash = fnv1a(c.data(), c.size() * sizeof(double));
-  fill_runtime_stats(cluster, result);
-  return result;
+  }));
 }
 
 }  // namespace ncs::cluster

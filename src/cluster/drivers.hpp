@@ -1,18 +1,25 @@
 // Distributed application drivers — the paper's Section 5 experiments.
 //
-// Each application exists in two structurally-matched variants:
-//   *_p4  : plain p4, one thread per process (the paper's baseline,
-//           Figs 13, 19).
-//   *_ncs : NCS_MTS/p4 with `threads_per_node` compute threads per node
-//           process (the paper's multithreaded versions, Figs 14, 17/18,
-//           20/21). The host is rank 0 in both variants.
+// Each application exists in three variants:
+//   *_p4   : plain p4, one thread per process (the paper's baseline,
+//            Figs 13, 19).
+//   *_ncs  : NCS_MTS/p4 with `threads_per_node` compute threads per node
+//            process (the paper's multithreaded versions, Figs 14, 17/18,
+//            20/21). The host is rank 0 in both.
+//   *_coll : SPMD over the collective API (see below).
+//
+// The p4 and NCS variants of an app are one body run over a small
+// communicator (harness.hpp): p4 is that body with one thread per process.
+// Where the paper's two programs differ, the body says so in one place.
+// The one-node rows are a single workstation with no message traffic.
 //
 // Every run performs the real computation on real data and verifies the
 // distributed result against a sequential reference — the verification
 // happens outside simulated time and is reported in AppResult::correct.
 //
 // Pass a preset from config.hpp (sun_ethernet / sun_atm_lan / nynet_wan);
-// the driver overrides n_procs with nodes+1 (host + node processes).
+// the driver overrides n_procs: nodes+1 (host + node processes), 1 for
+// the one-node rows, `nodes` for *_coll.
 #pragma once
 
 #include "cluster/cluster.hpp"
@@ -73,61 +80,8 @@ struct AppResult {
 };
 
 /// FNV-1a over raw bytes; pass a previous digest as `h` to chain buffers.
-inline std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                           std::uint64_t h = 0xCBF29CE484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-/// Copies the run's fault-facing counters out of the cluster.
-inline void fill_runtime_stats(Cluster& c, AppResult& r) {
-  if (c.profiler() != nullptr) r.bottleneck = bottleneck_report(c);
-  if (obs::TelemetrySampler* ts = c.telemetry(); ts != nullptr) {
-    r.telemetry = true;
-    r.telemetry_ticks = ts->ticks();
-    const auto us = [](std::int64_t ps) { return static_cast<double>(ps) * 1e-6; };
-    if (const obs::WindowedSketch* s = ts->find_sketch("mps/e2e");
-        s != nullptr && s->total().count() > 0) {
-      r.e2e_p99_us = us(s->total().quantile(0.99));
-      r.e2e_p999_us = us(s->total().quantile(0.999));
-    }
-    if (const obs::WindowedSketch* s = ts->find_sketch("rma/op");
-        s != nullptr && s->total().count() > 0) {
-      r.rma_p99_us = us(s->total().quantile(0.99));
-      r.rma_p999_us = us(s->total().quantile(0.999));
-    }
-    for (const obs::SloEngine::State& s : ts->slo().states()) {
-      const double compliance =
-          s.windows == 0 ? 1.0
-                         : static_cast<double>(s.compliant_windows) /
-                               static_cast<double>(s.windows);
-      if (compliance < r.slo_min_compliance) r.slo_min_compliance = compliance;
-      if (s.max_burn > r.slo_max_burn) r.slo_max_burn = s.max_burn;
-      r.slo_hard_breaches += s.hard_breaches;
-    }
-  }
-  if (obs::FlightRecorder* fr = c.recorder(); fr != nullptr) {
-    r.recorder_triggers = fr->triggers();
-    r.recorder_dumps = fr->dumps();
-  }
-  for (int p = 0; p < c.n_procs(); ++p) {
-    mts::Scheduler& h = c.host(p);
-    for (int core = 0; core < h.n_cores(); ++core) {
-      const mts::CoreStats& s = h.core_stats(core);
-      r.cores.push_back({p, core, s.dispatches, s.steals_in, s.steals_out,
-                         s.migrations_in, s.cpu_busy});
-      r.steals += s.steals_in;
-    }
-  }
-  if (!c.has_ncs()) return;
-  r.exceptions = c.ncs_exception_count();
-  for (int i = 0; i < c.n_procs(); ++i)
-    r.retransmits += c.node(i).error_control().stats().retransmits;
-}
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 0xCBF29CE484222325ull);
 
 /// Which NCS tier the *_ncs drivers bind (the paper evaluates NSM).
 enum class NcsTier { nsm_p4, hsm_atm };
@@ -159,7 +113,8 @@ AppResult run_matmul_coll(ClusterConfig base, int nodes, NcsTier tier = NcsTier:
 // jpeg_coll additionally allreduces the per-strip round-trip squared error
 // so every rank holds the global PSNR (many-to-many reduction in anger).
 AppResult run_jpeg_coll(ClusterConfig base, int nodes, NcsTier tier = NcsTier::hsm_atm);
-// fft_coll needs power-of-two `nodes` (one global FFT thread per process).
+// fft_coll needs power-of-two `nodes` (one global FFT thread per process;
+// at 1 node the whole transform is the local phase).
 AppResult run_fft_coll(ClusterConfig base, int nodes, NcsTier tier = NcsTier::hsm_atm);
 
 }  // namespace ncs::cluster

@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "cluster/bench_json.hpp"
+#include "cluster/bench_opts.hpp"
+#include "cluster/drivers.hpp"
 
 namespace ncs::cluster {
 
@@ -65,6 +67,47 @@ std::string table_json(const std::string& bench, const std::vector<TableRow>& ro
   }
   report.summary("all_correct", all_correct);
   return report.to_json();
+}
+
+int run_paper_table(const PaperTable& table, int argc, char** argv) {
+  const BenchOptions opts = parse_bench_options(argc, argv);
+
+  std::vector<TableRow> rows;
+  bool all_correct = true;
+  for (const int nodes : table.nodes) {
+    TableRow row;
+    row.nodes = nodes;
+    const auto measure = [&](ClusterConfig (*preset)(int), Duration* p4, Duration* ncs) {
+      const AppResult p4_run = table.p4(preset(0), nodes);
+      const AppResult ncs_run = table.ncs(preset(0), nodes);
+      *p4 = p4_run.elapsed;
+      *ncs = ncs_run.elapsed;
+      all_correct = all_correct && p4_run.correct && ncs_run.correct;
+    };
+    measure(sun_ethernet, &row.p4_ethernet, &row.ncs_ethernet);
+    row.has_atm = nodes <= 4;
+    if (row.has_atm) measure(sun_atm_lan, &row.p4_atm, &row.ncs_atm);
+    rows.push_back(row);
+  }
+
+  std::fputs(format_table(table.title, "SUN/Ethernet", "NYNET (ATM) testbed", rows).c_str(),
+             stdout);
+  std::printf("\nresult verification%s: %s\n", table.verification.c_str(),
+              all_correct ? "all runs correct" : "FAILED");
+
+  if (opts.prof) {
+    ClusterConfig cfg = sun_atm_lan(0);
+    opts.apply(&cfg, table.bench);
+    const AppResult profiled = table.ncs(std::move(cfg), 4);
+    all_correct = all_correct && profiled.correct;
+    std::printf("\n%s", profiled.bottleneck.c_str());
+    if (table.prof_names_report)
+      std::printf("profiled run artifacts: %s + matching _trace.json\n",
+                  opts.report_path(table.bench).c_str());
+  }
+
+  if (opts.json) emit_json(table_json(table.bench, rows, all_correct), opts.json_path);
+  return all_correct ? 0 : 1;
 }
 
 }  // namespace ncs::cluster

@@ -1,9 +1,11 @@
-// Paper-style table rendering for the benchmark harness.
+// Paper-style table rendering, and the one runner behind the Tables 1-3
+// benches.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "cluster/config.hpp"
 #include "common/time.hpp"
 
 namespace ncs::cluster {
@@ -33,5 +35,27 @@ std::string format_table(const std::string& title, const std::string& left_testb
 /// row object per node count with *_sec fields, "all_correct" in summary.
 std::string table_json(const std::string& bench, const std::vector<TableRow>& rows,
                        bool all_correct);
+
+struct AppResult;
+
+/// One of the paper's Tables 1-3: the app's p4 and NCS_MTS/p4 drivers
+/// (drivers.hpp) run at each node count on SUN/Ethernet and, up to 4
+/// nodes, on the ATM testbed (the paper reports no 8-node ATM rows).
+struct PaperTable {
+  std::string bench;  ///< ncs-bench-v1 name, --prof tag
+  std::string title;
+  /// Appended to "result verification": how the runs were checked.
+  std::string verification;
+  std::vector<int> nodes;
+  AppResult (*p4)(ClusterConfig base, int nodes) = nullptr;
+  AppResult (*ncs)(ClusterConfig base, int nodes) = nullptr;
+  /// --prof also names the report the profiled run wrote.
+  bool prof_names_report = false;
+};
+
+/// Runs the table and prints it. `--prof` adds a profiled 4-node ATM NCS
+/// run (bottleneck table on stdout, report and trace on disk); `--json`
+/// emits the rows. Returns the exit code: 0 when every run verified.
+int run_paper_table(const PaperTable& table, int argc, char** argv);
 
 }  // namespace ncs::cluster
